@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 import click
 
+from . import __version__
 from .brcover import build_e1_complex, verify_theorem_main
 from .homology import bigraded_homology, euler_characteristic, verify_triangle
 from .khcube import BasepointMissing, ResourceLimit, build_complex
@@ -198,6 +199,33 @@ def _print_table(report: dict) -> None:
     click.echo(f"euler: {report['euler']}")
 
 
+def _read_cache(path: str) -> Optional[dict]:
+    """The report cached at path; None when absent, unreadable or corrupt."""
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    if isinstance(report, dict) and report.get("schema_version") == SCHEMA_VERSION:
+        return report
+    return None
+
+
+def _write_cache(path: str, report: dict) -> None:
+    """Write through a temporary file in the same directory and rename it
+    into place, so a reader sees the old entry or the whole new one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w") as fh:
+            fh.write(_dump_json(report) + "\n")
+        os.replace(tmp, path)
+    except OSError as e:
+        click.echo(f"cache not written: {e}", err=True)
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 @click.group()
 @click.version_option(package_name="khbn")
 def main() -> None:
@@ -228,12 +256,10 @@ def _diagram_options(f):
 @click.option("--format", "fmt", type=click.Choice(["json", "table", "poincare"]),
               default="json", show_default=True)
 @click.option("--force", is_flag=True, help="lift the 14-crossing guard")
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes for the per-bidegree rank computations")
 @click.option("--cache-dir", default=None,
               help="directory of cached reports (also read from KHBN_CACHE_DIR)")
 def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
-            fmt, force, jobs, cache_dir) -> None:
+            fmt, force, cache_dir) -> None:
     """Compute one invariant of one diagram."""
     D = _resolve_diagram(pd, braid, strands, name)
     if invariant == "brcover-e2":
@@ -262,22 +288,22 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
     cache_path = None
     report = None
     if cache_dir:
-        key = _dump_json({"sha256": _diagram_hash(D), "invariant": invariant,
+        key = _dump_json({"schema_version": SCHEMA_VERSION, "khbn": __version__,
+                          "sha256": _diagram_hash(D), "invariant": invariant,
                           "k": k, "reduced": reduced, "basepoint": bp})
         cache_path = os.path.join(
             cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
-        if os.path.exists(cache_path):
-            with open(cache_path) as fh:
-                report = json.load(fh)
+        report = _read_cache(cache_path)
+        if report is not None:
             click.echo(f"cache hit: {cache_path}", err=True)
 
     if report is None:
         t0 = time.perf_counter()
         try:
             if invariant == "brcover-e2":
-                C = build_e1_complex(D, bp)
                 if D.n > 14 and not force:
                     raise ResourceLimit(f"{D.n} crossings")
+                C = build_e1_complex(D, bp)
             else:
                 C = build_complex(D, k, reduced=reduced, basepoint=bp, force=force)
         except ResourceLimit as e:
@@ -285,13 +311,11 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
             sys.exit(3)
         except BasepointMissing as e:
             raise click.UsageError(str(e))
-        decomp = bigraded_homology(C, jobs=max(1, jobs))
+        decomp = bigraded_homology(C)
         report = _invariant_report(D, invariant, k, reduced, bp, decomp)
         click.echo(f"computed in {time.perf_counter() - t0:.3f}s", err=True)
         if cache_path:
-            os.makedirs(cache_dir, exist_ok=True)
-            with open(cache_path, "w") as fh:
-                fh.write(_dump_json(report) + "\n")
+            _write_cache(cache_path, report)
 
     if fmt == "json":
         click.echo(_dump_json(report))

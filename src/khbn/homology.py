@@ -200,32 +200,19 @@ def _flatten_blocks(C: GradedComplex):
     return flat_basis, flat_index, blocks
 
 
-def _rank_task(args):
-    key, nrows, cols, data = args
-    r = f2_rank(F2Mat(nrows, cols, data))
-    return key, r.kernel_basis, r.image_basis
+def _block_ranks(blocks):
+    """kernel/image bases of every boundary block, one elimination each."""
+    out = {}
+    for key, m in blocks.items():
+        r = f2_rank(m)
+        out[key] = (r.kernel_basis, r.image_basis)
+    return out
 
 
-def _block_ranks(blocks, jobs: int):
-    """kernel/image bases of every boundary block, optionally fanned out
-    over worker processes.  Results are identical either way: reduced
-    echelon form is unique."""
-    if jobs > 1 and len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        tasks = [(key, m.rows, m.cols, m.data) for key, m in blocks.items()]
-        out = {}
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for key, kern, image in ex.map(_rank_task, tasks, chunksize=4):
-                out[key] = (kern, image)
-        return out
-    return {key: (f2_rank(m).kernel_basis, f2_rank(m).image_basis)
-            for key, m in blocks.items()}
-
-
-def _homology_basis(C: GradedComplex, jobs: int = 1) -> HomologyBasis:
+def _homology_basis(C: GradedComplex) -> HomologyBasis:
     flat_basis, flat_index, blocks = _flatten_blocks(C)
     k = C.k
-    pre = _block_ranks(blocks, jobs)
+    pre = _block_ranks(blocks)
     reps: Dict[Tuple[int, int], List[int]] = {}
     cosets: Dict[Tuple[int, int], _CosetBasis] = {}
     all_bd = set()
@@ -275,7 +262,7 @@ def _bits(x: int):
         x ^= low
 
 
-def bigraded_homology(C: GradedComplex, jobs: int = 1) -> ModuleDecomp:
+def bigraded_homology(C: GradedComplex) -> ModuleDecomp:
     """Homology of C as multiplicities of cyclic u-towers per bidegree.
 
     With r_s(i,j) = rank of u^s out of H_{i,j}, the number of length-t
@@ -284,7 +271,7 @@ def bigraded_homology(C: GradedComplex, jobs: int = 1) -> ModuleDecomp:
     cross-checked against the ungraded block count of the full nilpotent
     u-endomorphism in each homological degree.
     """
-    H = _homology_basis(C, jobs=jobs)
+    H = _homology_basis(C)
     k = C.k
     ranks: Dict[Tuple[int, int, int], int] = {}
     dims: Dict[Tuple[int, int], int] = {bd: len(r) for bd, r in H.reps.items()}

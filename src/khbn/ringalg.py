@@ -8,11 +8,9 @@ recovered from the induced nilpotent u-action via rank counts.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
-    "KERNEL",
     "RingElem",
     "SparseMat",
     "F2Mat",
@@ -24,20 +22,6 @@ __all__ = [
     "NotNilpotentAtOrderK",
     "DimensionMismatch",
 ]
-
-if os.environ.get("KHBN_FORCE_PURE_KERNEL"):
-    from . import _f2pure as _kernel
-
-    KERNEL = "pure (forced)"
-else:
-    try:
-        from . import _f2core as _kernel  # type: ignore[attr-defined]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _f2pure as _kernel
-
-        KERNEL = "pure"
 
 
 class DimensionMismatch(ValueError):
@@ -261,7 +245,7 @@ def f2_rank(M: F2Mat) -> RankResult:
     Kernel vectors live in the column space (bit c per column); image
     vectors are the original pivot columns (bit r per row).
     """
-    rr, pivots = _kernel.rref(M.data, M.cols)
+    rr, pivots = _rref(M.data, M.cols)
     rank = len(pivots)
     pivot_set = set(pivots)
     piv_row = {c: rr[i] for i, c in enumerate(pivots)}
@@ -279,6 +263,37 @@ def f2_rank(M: F2Mat) -> RankResult:
     # rank-nullity, asserted on every call
     assert rank + len(kernel) == M.cols
     return RankResult(rank, kernel, image, F2Mat(rank, M.cols, rr), pivots)
+
+
+def _rref(rows: List[int], cols: int) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form of bit-packed rows (bit c = column c).
+
+    Pivot rule: leftmost pivot column first, lowest-index available row.
+    Returns the nonzero RREF rows (in pivot order) and the pivot columns.
+    """
+    work = list(rows)
+    n = len(work)
+    pivots: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        bit = 1 << c
+        pr = -1
+        for i in range(r, n):
+            if work[i] & bit:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        prow = work[r]
+        for i in range(n):
+            if i != r and work[i] & bit:
+                work[i] ^= prow
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
 
 
 def flatten(M: SparseMat) -> F2Mat:

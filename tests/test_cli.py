@@ -1,4 +1,5 @@
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -79,7 +80,7 @@ def test_compute_braid_matches_pd():
     assert da == db
 
 
-def test_compute_cache_roundtrip(tmp_path):
+def test_compute_cache_roundtrip(tmp_path, monkeypatch):
     args = ("compute", "--name", "knot_5_2", "--invariant", "bn2",
             "--format", "json", "--cache-dir", str(tmp_path))
     cold = run(*args)
@@ -89,6 +90,29 @@ def test_compute_cache_roundtrip(tmp_path):
     assert warm.exit_code == 0
     assert warm.stdout == cold.stdout
     assert "cache hit" in warm.stderr
+    # a corrupt entry is a miss, and the recomputed report replaces it
+    (entry,) = tmp_path.iterdir()
+    entry.write_text("{not json")
+    again = run(*args)
+    assert again.exit_code == 0, again.output
+    assert again.stdout == cold.stdout
+    assert "cache hit" not in again.stderr
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert json.loads(entry.read_text()) == json.loads(cold.stdout)
+    assert "cache hit" in run(*args).stderr
+    # the key carries the package version
+    monkeypatch.setattr(cli, "__version__", "0.0.0-other")
+    other = run(*args)
+    assert other.exit_code == 0
+    assert "cache hit" not in other.stderr
+    assert len(list(tmp_path.iterdir())) == 2
+    # a cache directory that cannot be created costs only the write
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("")
+    r = run(*args[:-1], str(blocker))
+    assert r.exit_code == 0, r.output
+    assert r.stdout == cold.stdout
+    assert "cache not written" in r.stderr
 
 
 def test_compute_brcover_e2():
@@ -116,6 +140,8 @@ def test_malformed_inputs_exit_2():
     assert run("compute", "--invariant", "kh").exit_code == 2
     assert run("compute", "--pd", TREFOIL, "--invariant", "kh",
                "--basepoint", "1").exit_code == 2
+    assert run("compute", "--name", "unknot", "--invariant", "kh",
+               "--jobs", "2").exit_code == 2
 
 
 def test_resource_guard_exit_3():
@@ -124,6 +150,13 @@ def test_resource_guard_exit_3():
     assert r.exit_code == 3
     r = run("verify", "euler", "--braid", word, "--strands", "2")
     assert r.exit_code == 3
+    # the guard acts before the cover model is built
+    t0 = time.perf_counter()
+    r = run("compute", "--braid", word, "--strands", "2",
+            "--invariant", "brcover-e2")
+    elapsed = time.perf_counter() - t0
+    assert r.exit_code == 3
+    assert elapsed < 1.0, elapsed
 
 
 def test_verify_single_and_table():
@@ -136,6 +169,14 @@ def test_verify_single_and_table():
     r = run("verify", "euler", "--all-table", "--max-crossings", "4")
     assert r.exit_code == 0, r.output
     assert "15 run, all passed" in r.output
+
+
+def test_verify_jobs_matches_sequential():
+    args = ("verify", "euler", "--all-table", "--max-crossings", "4")
+    one = run(*args, "--jobs", "1")
+    two = run(*args, "--jobs", "2")
+    assert one.exit_code == 0 and two.exit_code == 0, two.output
+    assert two.stdout == one.stdout
 
 
 def test_verify_reidemeister_pairs():

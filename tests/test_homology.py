@@ -142,12 +142,6 @@ def test_decomp_roundtrip_and_sum():
         key: 2 * d for key, d in M.f2_dimensions().items()}
 
 
-def test_parallel_ranks_match_sequential():
-    D = parse_pd(load_link_table()["trefoil_L"][0])
-    C = build_complex(D, 2)
-    assert bigraded_homology(C, jobs=2) == bigraded_homology(C)
-
-
 def test_random_closures_euler_identity():
     rng = random.Random(88)
     done = 0

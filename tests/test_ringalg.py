@@ -3,17 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khbn import _f2pure
 from khbn.ringalg import (DimensionMismatch, Echelon, F2Mat,
                           NotNilpotentAtOrderK, RingElem, SparseMat,
                           f2_rank, flatten, nilpotent_block_multiplicities)
 
 from dense_oracle import dense_kernel, dense_rank
-
-try:
-    from khbn import _f2core
-except ImportError:
-    _f2core = None
 
 
 # ----------------------------------------------------------- ring elements
@@ -232,12 +226,3 @@ def test_not_nilpotent_raises():
     with pytest.raises(DimensionMismatch):
         nilpotent_block_multiplicities(F2Mat(2, 3), 2)
 
-
-# ------------------------------------------------- kernel implementations
-
-@pytest.mark.skipif(_f2core is None, reason="compiled kernel not built")
-@given(st.integers(0, 8), st.integers(1, 130), st.data())
-@settings(max_examples=80)
-def test_compiled_and_pure_rref_agree(nrows, ncols, data):
-    rows = [data.draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
-    assert _f2core.rref(list(rows), ncols) == _f2pure.rref(list(rows), ncols)
