@@ -1,6 +1,9 @@
+import json
+import os
 import random
 
 from dense_oracle import dense_decomp
+from khbn.brcover import build_e1_complex
 from khbn.homology import (ModuleDecomp, bigraded_homology,
                            euler_characteristic, verify_triangle)
 from khbn.khcube import build_complex
@@ -156,3 +159,24 @@ def test_random_closures_euler_identity():
         jhat = kauffman_jones(D)
         M = bigraded_homology(build_complex(D, 2))
         assert euler_characteristic(M) == jhat * Laurent({0: 1, -2: 1})
+
+
+def test_golden_decompositions():
+    """Every bundled entry, unreduced and reduced at its first arc, k = 1..3,
+    and the branched-cover E1 model at the first arc, against
+    golden_decomp.json (captured with the rank-of-powers implementation that
+    bigraded_homology had before the barcode reduction)."""
+    with open(os.path.join(os.path.dirname(__file__), "golden_decomp.json")) as fh:
+        golden = json.load(fh)
+    table = load_link_table()
+    assert sorted(golden) == sorted(table)
+    for name, want in golden.items():
+        D = parse_pd(table[name][0])
+        arc = D.arcs[0]
+        got = {"e1": bigraded_homology(build_e1_complex(D, arc)).to_json()}
+        for k in (1, 2, 3):
+            got[f"k{k}"] = bigraded_homology(
+                build_complex(D, k, force=True)).to_json()
+            got[f"k{k}_reduced"] = bigraded_homology(build_complex(
+                D, k, reduced=True, basepoint=arc, force=True)).to_json()
+        assert got == want, name
