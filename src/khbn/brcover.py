@@ -365,7 +365,7 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
         decompositions after re-indexing the cube side by raw weight
         (i + n_minus).
     """
-    from .homology import bigraded_homology, ModuleDecomp
+    from .homology import bigraded_homology, InhomogeneousEntry, ModuleDecomp
     from .khcube import build_complex
 
     bp = basepoint if basepoint is not None else D.basepoint_arc
@@ -403,7 +403,12 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
             if not (model == pulled):
                 chain_failures.append((s, c))
     E1 = build_e1_complex(D, bp)
-    M_model = bigraded_homology(E1)
+    try:
+        M_model = bigraded_homology(E1)
+    except InhomogeneousEntry as e:
+        # a broken model map need not respect the grading; no module to compare
+        return TheoremReport(False, edges, chain_failures, [(None, str(e), None)],
+                             None, None)
     C = build_complex(D, 2, reduced=True, basepoint=bp, force=True)
     M_bn = bigraded_homology(C)
     shift = ModuleDecomp(2, {(i + D.n_minus, j): dict(m)

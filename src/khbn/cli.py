@@ -227,7 +227,7 @@ def _write_cache(path: str, report: dict) -> None:
 
 
 @click.group()
-@click.version_option(package_name="khbn")
+@click.version_option(version=__version__)
 def main() -> None:
     """Exact homological invariants of links from planar diagrams."""
 

@@ -1,21 +1,27 @@
 """Bigraded homology of the cube complex as a module over F2[u]/u^k,
 plus the Euler identity and the u-coefficient exact triangle.
 
-The complex is flattened to F2 per bidegree: basis vectors are (generator,
-u_power) pairs, u acting as the shift (g,p) -> (g,p+1).  Homology is
-computed blockwise, the induced u-endomorphism is read off on chosen cycle
-representatives, and the cyclic-module decomposition comes from ranks of
-powers of u, cross-checked against the ungraded Jordan-type count.
+Every entry of the differential, from a generator g to a generator h, is
+the single power u^((q_h - q_g)/2) of the quantum degrees.  So the complex
+is the Rees module of its u = 1 specialisation, filtered by quantum degree,
+and its cyclic decomposition is a persistence barcode (Turner,
+arXiv:math/0411225; Zomorodian-Carlsson, DCG 2005).  One column reduction
+at u = 1 pairs the generators, and the towers of F2[u]/u^k are read off the
+pairs and the unpaired generators.
+
+The exact triangle is checked on its own: the complex is flattened to F2
+per bidegree, and explicit cycle representatives carry the maps of the
+triangle.  That check shares no code with the barcode.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .laurent import Laurent
 from .linkdiag import Diagram
 from .khcube import GradedComplex, build_complex
-from .ringalg import F2Mat, f2_rank, nilpotent_block_multiplicities
+from .ringalg import F2Mat, f2_rank
 
 __all__ = [
     "ModuleDecomp",
@@ -26,6 +32,7 @@ __all__ = [
     "verify_triangle",
     "LiftFailure",
     "ExactnessFailure",
+    "InhomogeneousEntry",
 ]
 
 
@@ -35,6 +42,11 @@ class LiftFailure(RuntimeError):
 
 class ExactnessFailure(AssertionError):
     pass
+
+
+class InhomogeneousEntry(AssertionError):
+    """An entry of d is not the single power of u that the quantum
+    degrees of its two generators fix."""
 
 
 class ModuleDecomp:
@@ -140,19 +152,18 @@ class HomologyBasis:
     """Chosen per-bidegree homology data of one GradedComplex.
 
     reps[(i,j)] is the list of representative cycles (bitmasks over the
-    flat (generator, u_power) basis at (i,j)); umaps[(i,j)] is the matrix
-    of u from (i,j) to (i,j-2) in those bases.
+    flat (generator, u_power) basis at (i,j)); cosets[(i,j)] reads the
+    class of a cycle off in those representatives.
     """
 
-    __slots__ = ("C", "flat_basis", "flat_index", "reps", "cosets", "umaps")
+    __slots__ = ("C", "flat_basis", "flat_index", "reps", "cosets")
 
-    def __init__(self, C, flat_basis, flat_index, reps, cosets, umaps):
+    def __init__(self, C, flat_basis, flat_index, reps, cosets):
         self.C = C
         self.flat_basis = flat_basis
         self.flat_index = flat_index
         self.reps: Dict[Tuple[int, int], List[int]] = reps
         self.cosets: Dict[Tuple[int, int], _CosetBasis] = cosets
-        self.umaps: Dict[Tuple[int, int], F2Mat] = umaps
 
     def dim(self, i: int, j: int) -> int:
         return len(self.reps.get((i, j), ()))
@@ -211,48 +222,20 @@ def _block_ranks(blocks):
 
 def _homology_basis(C: GradedComplex) -> HomologyBasis:
     flat_basis, flat_index, blocks = _flatten_blocks(C)
-    k = C.k
     pre = _block_ranks(blocks)
     reps: Dict[Tuple[int, int], List[int]] = {}
     cosets: Dict[Tuple[int, int], _CosetBasis] = {}
-    all_bd = set()
-    for i in C.degrees():
-        for j in flat_basis[i]:
-            all_bd.add((i, j))
-    for (i, j) in sorted(all_bd):
-        dim = len(flat_basis[i][j])
-        if (i, j) in pre:
-            kern = pre[(i, j)][0]
-        else:
-            kern = f2_rank(F2Mat(0, dim)).kernel_basis
-        image: List[int] = list(pre.get((i - 1, j), ((), ()))[1])
+    for (i, j) in sorted(pre):
         cb = _CosetBasis()
-        for v in image:
+        for v in pre.get((i - 1, j), ((), ()))[1]:
             cb.add(v, 0)
         chosen: List[int] = []
-        for v in kern:
+        for v in pre[(i, j)][0]:
             if cb.add(v, 1 << len(chosen)):
                 chosen.append(v)
         reps[(i, j)] = chosen
         cosets[(i, j)] = cb
-    umaps: Dict[Tuple[int, int], F2Mat] = {}
-    for (i, j), chosen in reps.items():
-        src_dim = len(chosen)
-        tgt = reps.get((i, j - 2), [])
-        m = F2Mat(len(tgt), src_dim)
-        if src_dim and (i, j - 2) in cosets:
-            basis = flat_basis[i][j]
-            for col, z in enumerate(chosen):
-                w = 0
-                for pos in _bits(z):
-                    g, p = basis[pos]
-                    if p + 1 < k:
-                        w |= 1 << flat_index[i][(g, p + 1)]
-                tags = cosets[(i, j - 2)].coords(w)
-                for row in _bits(tags):
-                    m.set(row, col, 1)
-        umaps[(i, j)] = m
-    return HomologyBasis(C, flat_basis, flat_index, reps, cosets, umaps)
+    return HomologyBasis(C, flat_basis, flat_index, reps, cosets)
 
 
 def _bits(x: int):
@@ -262,88 +245,78 @@ def _bits(x: int):
         x ^= low
 
 
+def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
+                                        List[Tuple[int, int, int]]]:
+    """Persistence pairing of C at u = 1, filtered by quantum degree.
+
+    In each degree the generators are ordered by quantum degree, highest
+    first, and the columns of d are reduced left to right; the low of a
+    column is its lowest-quantum row.  Returns the unpaired generators as
+    (i, q) and the pairs as (i, q_x, q_y): x at (i, q_x) with d x = u^a y
+    over F2[u] after the reduction, y at (i+1, q_y), a = (q_y - q_x)/2.
+    Asserts that every entry of d is exactly u^a for its two generators.
+    At k = 1 the u-entries are truncated away, and the pairing is that of
+    the Khovanov complex over F2.
+    """
+    quantum: Dict[int, List[int]] = {}  # per degree, in filtration order
+    where: Dict[int, Dict[int, int]] = {}  # generator index -> filtration position
+    for i in C.degrees():
+        qs = [C.bidegree(g)[1] for g in C.generators[i]]
+        order = sorted(range(len(qs)), key=lambda n: -qs[n])
+        quantum[i] = [qs[n] for n in order]
+        where[i] = {n: pos for pos, n in enumerate(order)}
+    paired: Dict[int, set] = {i: set() for i in quantum}
+    pairs: List[Tuple[int, int, int]] = []
+    for i in C.degrees():
+        cols = [0] * len(quantum[i])
+        for (h, g), e in C.d(i).entries.items():
+            x, y = where[i][g], where[i + 1][h]
+            a, odd = divmod(quantum[i + 1][y] - quantum[i][x], 2)
+            if odd or a < 0 or e.bits != 1 << a:
+                raise InhomogeneousEntry(
+                    f"d entry {e!r} at degree {i} is not u^(dq/2)")
+            cols[x] |= 1 << y
+        owner: Dict[int, int] = {}  # low -> reduced column with that low
+        for x, col in enumerate(cols):
+            while col:
+                low = col.bit_length() - 1
+                if low not in owner:
+                    owner[low] = col
+                    pairs.append((i, quantum[i][x], quantum[i + 1][low]))
+                    paired[i].add(x)
+                    paired[i + 1].add(low)
+                    break
+                col ^= owner[low]
+    free = [(i, q) for i in C.degrees() for pos, q in enumerate(quantum[i])
+            if pos not in paired[i]]
+    return free, pairs
+
+
 def bigraded_homology(C: GradedComplex) -> ModuleDecomp:
     """Homology of C as multiplicities of cyclic u-towers per bidegree.
 
-    With r_s(i,j) = rank of u^s out of H_{i,j}, the number of length-t
-    towers topped at (i,j) is
-        m_t(i,j) = [r_{t-1}(i,j) - r_t(i,j)] - [r_t(i,j+2) - r_{t+1}(i,j+2)],
-    cross-checked against the ungraded block count of the full nilpotent
-    u-endomorphism in each homological degree.
+    Read off the barcode at truncation order k: an unpaired generator at
+    (i, q) is a tower of length k topped there; a pair (i, q_x, q_y) with
+    a = (q_y - q_x)/2 >= 1 gives two towers of length min(a, k), topped at
+    (i+1, q_y) and at (i, q_x - 2 max(k - a, 0)); a pair with a = 0 gives
+    nothing.
     """
-    H = _homology_basis(C)
     k = C.k
-    ranks: Dict[Tuple[int, int, int], int] = {}
-    dims: Dict[Tuple[int, int], int] = {bd: len(r) for bd, r in H.reps.items()}
-
-    def rank_power(i: int, j: int, s: int) -> int:
-        if (i, j) not in dims or dims[(i, j)] == 0:
-            return 0
-        if s == 0:
-            return dims[(i, j)]
-        if s >= k:
-            return 0
-        key = (i, j, s)
-        if key not in ranks:
-            m = F2Mat.identity(dims[(i, j)])
-            for step in range(s):
-                m = H.umaps.get((i, j - 2 * step),
-                                F2Mat(0, m.rows)).mul(m)
-                if m.rows == 0:
-                    break
-            ranks[key] = f2_rank(m).rank if m.rows else 0
-        return ranks[key]
-
+    free, pairs = _barcode(C)
     table: Dict[Tuple[int, int], Dict[int, int]] = {}
-    for (i, j) in dims:
-        for t in range(1, k + 1):
-            m_t = ((rank_power(i, j, t - 1) - rank_power(i, j, t))
-                   - (rank_power(i, j + 2, t) - rank_power(i, j + 2, t + 1)))
-            if m_t < 0:
-                raise AssertionError(f"negative multiplicity at {(i, j)}, t={t}")
-            if m_t:
-                table.setdefault((i, j), {})[t] = m_t
-    decomp = ModuleDecomp(k, table)
-    _cross_check_blocks(H, decomp)
-    if decomp.f2_dimensions() != {bd: d for bd, d in dims.items() if d}:
-        raise AssertionError("tower spread disagrees with homology dimensions")
-    return decomp
 
+    def tower(i: int, j: int, t: int) -> None:
+        mults = table.setdefault((i, j), {})
+        mults[t] = mults.get(t, 0) + 1
 
-def _cross_check_blocks(H: HomologyBasis, decomp: ModuleDecomp) -> None:
-    """Ungraded check: per homological degree, assemble the block-diagonal
-    u-matrix on all of H_i and count Jordan-type blocks independently."""
-    k = H.C.k
-    degrees = sorted({i for (i, _) in H.reps})
-    for i in degrees:
-        js = sorted((j for (ii, j) in H.reps if ii == i and H.reps[(ii, j)]),
-                    reverse=True)
-        if not js:
-            continue
-        offset: Dict[int, int] = {}
-        total = 0
-        for j in js:
-            offset[j] = total
-            total += len(H.reps[(i, j)])
-        N = F2Mat(total, total)
-        for j in js:
-            m = H.umaps[(i, j)]
-            if j - 2 not in offset and not m.is_zero():
-                raise AssertionError("u lands outside recorded support")
-            for c in range(m.cols):
-                for r in range(m.rows):
-                    if m.get(r, c):
-                        N.set(offset[j - 2] + r, offset[j] + c, 1)
-        expected = nilpotent_block_multiplicities(N, k)
-        got = {t: 0 for t in range(1, k + 1)}
-        for (ii, _), mults in decomp.table.items():
-            if ii == i:
-                for t, m in mults.items():
-                    got[t] = got.get(t, 0) + m
-        for t in range(1, k + 1):
-            if expected.get(t, 0) != got.get(t, 0):
-                raise AssertionError(
-                    f"graded decomposition disagrees with block count at i={i}")
+    for i, q in free:
+        tower(i, q, k)
+    for i, qx, qy in pairs:
+        a = (qy - qx) // 2
+        if a:
+            tower(i + 1, qy, min(a, k))
+            tower(i, qx - 2 * max(k - a, 0), min(a, k))
+    return ModuleDecomp(k, table)
 
 
 def euler_characteristic(M: ModuleDecomp) -> Laurent:
@@ -380,9 +353,10 @@ def connecting_map(C2: GradedComplex,
     """
     if C2.k != 2:
         raise ValueError("connecting map defined for k=2 complexes")
-    C1 = build_complex(C2.D, 1, C2.reduced, C2.basepoint, force=True)
     if H1 is None:
-        H1 = _homology_basis(C1)
+        H1 = _homology_basis(
+            build_complex(C2.D, 1, C2.reduced, C2.basepoint, force=True))
+    C1 = H1.C
     out: Dict[Tuple[int, int], F2Mat] = {}
     for (i, j), zs in H1.reps.items():
         tgt = H1.reps.get((i + 1, j + 2), [])

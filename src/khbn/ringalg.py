@@ -1,9 +1,9 @@
 """Exact arithmetic in F2[u]/u^k and sparse/bit-packed linear algebra over F2.
 
-Homology over the truncated polynomial ring is reduced to plain GF(2)
-elimination: matrices over F2[u]/u^k are flattened to F2 (k x k
-lower-triangular Toeplitz block per entry), and module structure is
-recovered from the induced nilpotent u-action via rank counts.
+RingElem and SparseMat hold the cube complex over F2[u]/u^k.  F2Mat,
+f2_rank and Echelon are the GF(2) elimination behind the exact triangle and
+the spectral-sequence pages; nilpotent_block_multiplicities counts the
+Jordan blocks of a nilpotent F2 operator from the ranks of its powers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "F2Mat",
     "RankResult",
     "f2_rank",
-    "flatten",
     "nilpotent_block_multiplicities",
     "Echelon",
     "NotNilpotentAtOrderK",
@@ -294,27 +293,6 @@ def _rref(rows: List[int], cols: int) -> Tuple[List[int], List[int]]:
         pivots.append(c)
         r += 1
     return work[:r], pivots
-
-
-def flatten(M: SparseMat) -> F2Mat:
-    """Expand each F2[u]/u^k entry to its k x k multiplication operator.
-
-    Basis convention: flattened index n*k + p is (generator n, u^p); the
-    entry u^b contributes 1s at block positions (p+b, p).  Functorial:
-    flatten(A.mul(B)) == flatten(A).mul(flatten(B)).
-    """
-    k = M.k
-    out = F2Mat(M.rows * k, M.cols * k)
-    for (r, c), e in M.entries.items():
-        bits = e.bits
-        b = 0
-        while bits:
-            if bits & 1:
-                for p in range(k - b):
-                    out.data[r * k + p + b] |= 1 << (c * k + p)
-            bits >>= 1
-            b += 1
-    return out
 
 
 def nilpotent_block_multiplicities(N: F2Mat, k: int) -> Dict[int, int]:

@@ -209,3 +209,6 @@ def test_help_screens():
         r = run(sub, "--help")
         assert r.exit_code == 0
         assert "Options" in r.output
+    r = run("--version")
+    assert r.exit_code == 0
+    assert r.output.rstrip().endswith("version 0.1.0")

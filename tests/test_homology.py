@@ -4,7 +4,7 @@ import random
 
 from dense_oracle import dense_decomp
 from khbn.brcover import build_e1_complex
-from khbn.homology import (ModuleDecomp, bigraded_homology,
+from khbn.homology import (ModuleDecomp, _barcode, bigraded_homology,
                            euler_characteristic, verify_triangle)
 from khbn.khcube import build_complex
 from khbn.laurent import Laurent
@@ -108,6 +108,22 @@ def test_dense_reference_agrees():
             C = build_complex(D, k, reduced=reduced,
                               basepoint=D.arcs[0] if reduced else None)
             assert bigraded_homology(C) == dense_decomp(C), (name, k, reduced)
+    for name in ("trefoil_L", "figure8"):
+        D = parse_pd(table[name][0])
+        E1 = build_e1_complex(D, D.arcs[0])
+        assert bigraded_homology(E1) == dense_decomp(E1), name
+
+
+def test_free_generators_count_components():
+    # Turner: the u = 1 homology has rank 2^components, halved when reduced
+    table = load_link_table()
+    for name in sorted(table):
+        D = parse_pd(table[name][0])
+        free, _ = _barcode(build_complex(D, 2, force=True))
+        assert len(free) == 2 ** D.component_count, name
+        free, _ = _barcode(build_complex(D, 2, reduced=True,
+                                         basepoint=D.arcs[0], force=True))
+        assert len(free) == 2 ** (D.component_count - 1), name
 
 
 def test_unreduced_splits_as_two_shifted_copies():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from khbn.ringalg import (DimensionMismatch, Echelon, F2Mat,
                           NotNilpotentAtOrderK, RingElem, SparseMat,
-                          f2_rank, flatten, nilpotent_block_multiplicities)
+                          f2_rank, nilpotent_block_multiplicities)
 
 from dense_oracle import dense_kernel, dense_rank
 
@@ -85,36 +85,6 @@ def test_sparse_mul_matches_naive():
         assert a.mul(b) == naive_sparse_mul(a, b)
 
 
-@given(st.integers(1, 3), st.data())
-@settings(max_examples=60)
-def test_flatten_is_functorial(k, data):
-    dims = st.integers(1, 4)
-    ra, ca, cb = data.draw(dims), data.draw(dims), data.draw(dims)
-    bits = st.integers(0, (1 << k) - 1)
-    a = SparseMat(ra, ca, k)
-    b = SparseMat(ca, cb, k)
-    for r in range(ra):
-        for c in range(ca):
-            a.add_to(r, c, RingElem(k, data.draw(bits)))
-    for r in range(ca):
-        for c in range(cb):
-            b.add_to(r, c, RingElem(k, data.draw(bits)))
-    assert flatten(a.mul(b)) == flatten(a).mul(flatten(b))
-
-
-def test_flatten_identity_and_u():
-    k = 3
-    eye = SparseMat(2, 2, k)
-    for d in range(2):
-        eye.add_to(d, d, RingElem.one(k))
-    assert flatten(eye) == F2Mat.identity(2 * k)
-    u = SparseMat(1, 1, k)
-    u.add_to(0, 0, RingElem.u_power(k, 1))
-    n = flatten(u)
-    # multiplication by u on F2[u]/u^3 is a single shift block of size 3
-    assert nilpotent_block_multiplicities(n, k) == {1: 0, 2: 0, 3: 1}
-
-
 # ------------------------------------------------------------------ ranks
 
 def unpack(rows_ints, cols):
@@ -179,6 +149,12 @@ def shift_block_matrix(sizes):
             m.set(base + s + 1, base + s, 1)
         base += t
     return m
+
+
+def test_u_shift_is_one_block():
+    # multiplication by u on F2[u]/u^3, basis 1, u, u^2: one shift block
+    u = F2Mat(3, 3, [0b000, 0b001, 0b010])
+    assert nilpotent_block_multiplicities(u, 3) == {1: 0, 2: 0, 3: 1}
 
 
 def test_block_multiplicities_recover_construction():
