@@ -29,7 +29,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .khcube import Generator, BasepointMissing, verify_d_squared, apply_edge_map, MINUS, PLUS
-from .linkdiag import Diagram, EdgeTransition, Merge, Split, edge_transition, resolve
+from .linkdiag import (Diagram, EdgeTransition, Merge, Split, _arc_positions,
+                       _transition, resolve)
 from .ringalg import RingElem, SparseMat
 
 __all__ = [
@@ -163,13 +164,18 @@ class E1Complex:
         return w, j
 
 
-def _transport(V_from: VertexGroup, V_to: VertexGroup, mask: int,
-               skip, t: EdgeTransition) -> int:
+def _carried(V_from: VertexGroup, V_to: VertexGroup, skip,
+             t: EdgeTransition) -> List[Tuple[int, int]]:
+    """(from bit, to bit) of every class whose circle the edge carries along."""
+    return [(1 << f, 1 << V_to.nonpointed.index(t.bystander_map[c]))
+            for f, c in enumerate(V_from.nonpointed) if c not in skip]
+
+
+def _transport(carried: List[Tuple[int, int]], mask: int) -> int:
     out = 0
-    for c in V_from.circles_of(mask):
-        if c in skip:
-            continue
-        out |= 1 << V_to.nonpointed.index(t.bystander_map[c])
+    for f, t in carried:
+        if mask & f:
+            out |= t
     return out
 
 
@@ -183,35 +189,40 @@ def edge_map_brcover(t: EdgeTransition, V_from: VertexGroup,
     kind = t.kind
     if isinstance(kind, Merge):
         a, b, c = kind.src_a, kind.src_b, kind.dst
+        carried = _carried(V_from, V_to, (a, b), t)
         pointed_involved = V_from.pointed in (a, b)
+        if pointed_involved:
+            g_other = V_from.mask_of((b if V_from.pointed == a else a,))
+        else:
+            g_a, g_b = V_from.mask_of((a,)), V_from.mask_of((b,))
+            g_c = V_to.mask_of((c,))
         for mask in range(V_from.rank):
-            circles = set(V_from.circles_of(mask))
-            base = _transport(V_from, V_to, mask, (a, b), t)
+            base = _transport(carried, mask)
             if pointed_involved:
-                other = b if V_from.pointed == a else a
-                if other in circles:
+                if mask & g_other:
                     continue  # g_b xi -> 0
                 mat.add_to(base, mask, one)
             else:
-                ga, gb = a in circles, b in circles
+                ga, gb = mask & g_a, mask & g_b
                 if not ga and not gb:
                     mat.add_to(base, mask, one)
                 else:
-                    out = base | (1 << V_to.nonpointed.index(c))
-                    mat.add_to(out, mask, q if (ga and gb) else one)
+                    mat.add_to(base | g_c, mask, q if (ga and gb) else one)
     elif isinstance(kind, Split):
         a, d1, d2 = kind.src, kind.dst_a, kind.dst_b
+        carried = _carried(V_from, V_to, (a,), t)
+        if V_from.pointed == a:
+            g_new = V_to.mask_of((d2 if V_to.pointed == d1 else d1,))
+        else:
+            g_a = V_from.mask_of((a,))
+            b1, b2 = V_to.mask_of((d1,)), V_to.mask_of((d2,))
         for mask in range(V_from.rank):
-            circles = set(V_from.circles_of(mask))
-            base = _transport(V_from, V_to, mask, (a,), t)
+            base = _transport(carried, mask)
             if V_from.pointed == a:
-                new = d2 if V_to.pointed == d1 else d1
-                mat.add_to(base | (1 << V_to.nonpointed.index(new)), mask, one)
+                mat.add_to(base | g_new, mask, one)
                 mat.add_to(base, mask, q)
             else:
-                b1 = 1 << V_to.nonpointed.index(d1)
-                b2 = 1 << V_to.nonpointed.index(d2)
-                if a in circles:
+                if mask & g_a:
                     mat.add_to(base | b1 | b2, mask, one)
                 else:
                     mat.add_to(base | b1, mask, one)
@@ -233,18 +244,16 @@ def edge_map_raw_split(t: EdgeTransition, V_from: VertexGroup,
     one = RingElem.one(2)
     a, d1, d2 = kind.src, kind.dst_a, kind.dst_b
     mat = SparseMat(V_to.rank, V_from.rank, 2)
+    carried = _carried(V_from, V_to, (a,), t)
     for mask in range(V_from.rank):
-        circles = set(V_from.circles_of(mask))
-        base = _transport(V_from, V_to, mask, (a,), t)
+        base = _transport(carried, mask)
         if V_from.pointed == a:
             new = d2 if V_to.pointed == d1 else d1
-            mat.add_to(base | (1 << V_to.nonpointed.index(new)), mask, one)
+            mat.add_to(base | V_to.mask_of((new,)), mask, one)
         else:
-            b_old = 1 << V_to.nonpointed.index(d1)
-            b_new = 1 << V_to.nonpointed.index(d2)
-            out = base | b_new
-            if a in circles:
-                out |= b_old
+            out = base | V_to.mask_of((d2,))
+            if mask & V_from.mask_of((a,)):
+                out |= V_to.mask_of((d1,))
             mat.add_to(out, mask, one)
     return mat
 
@@ -279,47 +288,51 @@ def split_change_of_basis(t: EdgeTransition, V_to: VertexGroup) -> SparseMat:
     return mat
 
 
+def _cube(D: Diagram, bp: int):
+    """Every state's vertex group, and an iterator over the edges as
+    (crossing, transition), by state, then by crossing.  Each state is
+    resolved once; the transitions are made as the iterator reaches them."""
+    n = D.n
+    states = [tuple((bits >> c) & 1 for c in range(n)) for bits in range(1 << n)]
+    vertices: Dict[Tuple[int, ...], VertexGroup] = {}
+    pos: List[bytes] = []
+    for s in states:
+        r = resolve(D, s, bp)
+        vertices[s] = VertexGroup(s, r.circle_ids, r.pointed_circle)
+        pos.append(_arc_positions(r))
+    ends = list(vertices.values())
+    transitions = ((c, _transition(D, c, ends[b], pos[b],
+                                   ends[b | 1 << c], pos[b | 1 << c]))
+                   for b, s in enumerate(states) for c in range(n) if not s[c])
+    return vertices, transitions
+
+
 def build_e1_complex(D: Diagram, basepoint: Optional[int] = None) -> E1Complex:
     """All 2^n vertex groups and the n 2^(n-1) edge maps; asserts d^2 = 0."""
     bp = basepoint if basepoint is not None else D.basepoint_arc
     if bp is None:
         raise BasepointMissing("the model is pointed; pick a basepoint arc")
-    n = D.n
-    states = [tuple((bits >> c) & 1 for c in range(n)) for bits in range(1 << n)]
-    vertices: Dict[Tuple[int, ...], VertexGroup] = {}
-    for s in states:
-        r = resolve(D, s, bp)
-        vertices[s] = VertexGroup(s, r.circle_ids, r.pointed_circle)
+    vertices, transitions = _cube(D, bp)
     generators: Dict[int, List[BrGen]] = {}
-    for s in states:
-        w = sum(s)
-        bucket = generators.setdefault(w, [])
-        for mask in range(vertices[s].rank):
+    for s, V in vertices.items():
+        bucket = generators.setdefault(sum(s), [])
+        for mask in range(V.rank):
             bucket.append(BrGen(s, mask))
     for w in generators:
         generators[w].sort(key=BrGen.sort_key)
     index = {w: {g: t for t, g in enumerate(gens)}
              for w, gens in generators.items()}
-    differential: Dict[int, SparseMat] = {}
-    for w in sorted(generators):
-        nxt = generators.get(w + 1, [])
-        mat = SparseMat(len(nxt), len(generators[w]), 2)
-        if nxt:
-            for s in states:
-                if sum(s) != w:
-                    continue
-                V_from = vertices[s]
-                col0 = index[w][BrGen(s, 0)]
-                for c in range(n):
-                    if s[c] != 0:
-                        continue
-                    t = edge_transition(D, s, c)
-                    V_to = vertices[t.to_state]
-                    emap = edge_map_brcover(t, V_from, V_to)
-                    row0 = index[w + 1][BrGen(t.to_state, 0)]
-                    for (r_, c_), e in emap.entries.items():
-                        mat.add_to(row0 + r_, col0 + c_, e)
-        differential[w] = mat
+    differential: Dict[int, SparseMat] = {
+        w: SparseMat(len(generators.get(w + 1, ())), len(gens), 2)
+        for w, gens in generators.items()}
+    for _, t in transitions:
+        w = sum(t.from_state)
+        emap = edge_map_brcover(t, vertices[t.from_state], vertices[t.to_state])
+        col0 = index[w][BrGen(t.from_state, 0)]
+        row0 = index[w + 1][BrGen(t.to_state, 0)]
+        mat = differential[w]
+        for (r_, c_), e in emap.entries.items():
+            mat.add_to(row0 + r_, col0 + c_, e)
     C = E1Complex(D, bp, vertices, generators, differential)
     report = verify_d_squared(C)
     if not report.passed:
@@ -371,37 +384,27 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
     bp = basepoint if basepoint is not None else D.basepoint_arc
     if bp is None:
         raise BasepointMissing("the model is pointed; pick a basepoint arc")
-    n = D.n
     chain_failures = []
     edges = 0
-    states = [tuple((bits >> c) & 1 for c in range(n)) for bits in range(1 << n)]
-    res: Dict[Tuple[int, ...], Tuple[VertexGroup, Tuple[int, ...]]] = {}
-    for s in states:
-        r = resolve(D, s, bp)
-        res[s] = (VertexGroup(s, r.circle_ids, r.pointed_circle), r.circle_ids)
-    for s in states:
-        V_from, from_ids = res[s]
-        for c in range(n):
-            if s[c] != 0:
-                continue
-            t = edge_transition(D, s, c)
-            V_to, to_ids = res[t.to_state]
-            edges += 1
-            model = edge_map_brcover(t, V_from, V_to)
-            # conjugate the reduced cube edge map through phi
-            pulled = SparseMat(V_to.rank, V_from.rank, 2)
-            for mask in range(V_from.rank):
-                g = phi(V_from, mask)
-                labeling = dict(zip(from_ids, g.labels))
-                for lab, coeff in apply_edge_map(t.kind, labeling, 2,
-                                                 t.bystander_map):
-                    if lab[V_to.pointed] == MINUS:
-                        continue  # reduced quotient
-                    named = tuple(cid for cid in V_to.nonpointed
-                                  if lab[cid] == MINUS)
-                    pulled.add_to(V_to.mask_of(named), mask, coeff)
-            if not (model == pulled):
-                chain_failures.append((s, c))
+    vertices, transitions = _cube(D, bp)
+    for c, t in transitions:
+        V_from, V_to = vertices[t.from_state], vertices[t.to_state]
+        edges += 1
+        model = edge_map_brcover(t, V_from, V_to)
+        # conjugate the reduced cube edge map through phi
+        pulled = SparseMat(V_to.rank, V_from.rank, 2)
+        for mask in range(V_from.rank):
+            g = phi(V_from, mask)
+            labeling = dict(zip(V_from.circle_ids, g.labels))
+            for lab, coeff in apply_edge_map(t.kind, labeling, 2,
+                                             t.bystander_map):
+                if lab[V_to.pointed] == MINUS:
+                    continue  # reduced quotient
+                named = tuple(cid for cid in V_to.nonpointed
+                              if lab[cid] == MINUS)
+                pulled.add_to(V_to.mask_of(named), mask, coeff)
+        if not (model == pulled):
+            chain_failures.append((t.from_state, c))
     E1 = build_e1_complex(D, bp)
     try:
         M_model = bigraded_homology(E1)

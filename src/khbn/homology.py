@@ -31,16 +31,11 @@ __all__ = [
     "connecting_map",
     "verify_triangle",
     "LiftFailure",
-    "ExactnessFailure",
     "InhomogeneousEntry",
 ]
 
 
 class LiftFailure(RuntimeError):
-    pass
-
-
-class ExactnessFailure(AssertionError):
     pass
 
 

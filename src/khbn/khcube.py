@@ -12,13 +12,22 @@ i = |state| - n_minus and j = (#plus - #minus) - 2 u_power + |state|
 The reduced complex is the quotient killing every generator whose pointed
 circle carries v_minus; that span is a subcomplex, which the builder
 asserts rather than assumes.
+
+build_complex resolves each of the 2^n states once.  A generator is a
+state plus a label bitmask, and each edge's merge or split comes from the
+resolutions at its two ends (linkdiag._classify_edge), so no edge resolves
+anything again.  Each entry of d is written once.  d^2 = 0 is checked on
+every build as two facts: d^2 = 0 over F2 on the untruncated columns at
+u = 1, and every entry equal to u^((q_h - q_g)/2).  Together they give
+d^2 = 0 over F2[u], hence at every k.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linkdiag import Diagram, Merge, Split, EdgeTransition, edge_transition, resolve
+from .linkdiag import (Diagram, Merge, Split, _arc_positions, _classify_edge,
+                       resolve)
 from .ringalg import RingElem, SparseMat
 
 __all__ = [
@@ -154,12 +163,38 @@ def apply_edge_map(kind, labeling: Dict[int, int], k: int,
     return out
 
 
+def _labelings(c: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(bitmask, label tuple) of the 2^c labelings of c circles, in the
+    order of the label tuples."""
+    return sorted(((m, tuple((m >> t) & 1 for t in range(c)))
+                   for m in range(1 << c)), key=lambda ml: ml[1])
+
+
+def _edge_images(merge: bool, src, dst, bystanders,
+                 mask: int) -> List[Tuple[int, int]]:
+    """The edge map of _classify_edge's (merge, src, dst, bystanders) on one
+    label mask (bit t: v_minus on circle t), untruncated: (mask, u power)."""
+    base = 0
+    for f, t in bystanders:
+        if (mask >> f) & 1:
+            base |= 1 << t
+    if merge:
+        la, lb = (mask >> src[0]) & 1, (mask >> src[1]) & 1
+        return [(base | ((la | lb) << dst[0]), la & lb)]
+    da, db = 1 << dst[0], 1 << dst[1]
+    if (mask >> src[0]) & 1:
+        return [(base | da | db, 0)]
+    return [(base | db, 0), (base | da, 0), (base, 1)]
+
+
 def build_complex(D: Diagram, k: int, reduced: bool = False,
                   basepoint: Optional[int] = None,
                   force: bool = False) -> GradedComplex:
     """Assemble the full complex; asserts d*d = 0 before returning.
 
-    Above 14 crossings the cube is refused unless force is set.
+    Each state is resolved once; a generator is built as (state, label
+    bitmask), and every edge map is read off the two resolutions of its
+    ends.  Above 14 crossings the cube is refused unless force is set.
     """
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
@@ -174,94 +209,133 @@ def build_complex(D: Diagram, k: int, reduced: bool = False,
         raise BasepointMissing(f"arc {bp} does not occur in the diagram")
     n = D.n
     states = [tuple((bits >> c) & 1 for c in range(n)) for bits in range(1 << n)]
-    circle_ids: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-    pointed: Dict[Tuple[int, ...], Optional[int]] = {}
+    ids: List[Tuple[int, ...]] = []   # sorted circle ids per state
+    pos: List[bytes] = []             # arc -> position in ids, per state
     for s in states:
         r = resolve(D, s, bp)
-        circle_ids[s] = r.circle_ids
-        pointed[s] = r.pointed_circle
+        ids.append(r.circle_ids)
+        pos.append(_arc_positions(r))
+    # position of the pointed circle, or None when no generator is killed
+    pointed = [p[bp] if reduced else None for p in pos]
+    q_shift = D.n_plus - 2 * D.n_minus
 
-    def keep(state, labels) -> bool:
-        if not reduced:
-            return True
-        pc = pointed[state]
-        return labels[circle_ids[state].index(pc)] == PLUS
-
+    labelings: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
     generators: Dict[int, List[Generator]] = {}
-    for s in states:
+    quantum: Dict[int, List[int]] = {}
+    first: List[int] = [0] * len(states)   # index of the state's first generator
+    local: List[Dict[int, int]] = [{} for _ in states]  # kept mask -> offset
+    for b in sorted(range(len(states)), key=states.__getitem__):
+        c = len(ids[b])
+        if c not in labelings:
+            labelings[c] = _labelings(c)
+        pp = pointed[b]
+        kept = [(m, lab) for m, lab in labelings[c] if pp is None or not lab[pp]]
+        w = sum(states[b])
+        i = w - D.n_minus
+        gens = generators.setdefault(i, [])
+        qs = quantum.setdefault(i, [])
+        first[b] = len(gens)
+        local[b] = {m: t for t, (m, _) in enumerate(kept)}
+        for _, lab in kept:
+            gens.append(Generator(states[b], lab))
+            qs.append(c - 2 * sum(lab) + w + q_shift)
+
+    differential: Dict[int, SparseMat] = {
+        i: SparseMat(len(generators.get(i + 1, ())), len(gens), k)
+        for i, gens in generators.items()}
+    # the untruncated columns at u = 1, split by the power of u of the entry
+    cols = {i: ([0] * len(gens), [0] * len(gens))
+            for i, gens in generators.items()}
+    elem = [RingElem.u_power(k, p) for p in range(min(k, 2))]
+    for b, s in enumerate(states):
         i = sum(s) - D.n_minus
-        c = len(circle_ids[s])
-        bucket = generators.setdefault(i, [])
-        for bits in range(1 << c):
-            labels = tuple((bits >> t) & 1 for t in range(c))
-            if keep(s, labels):
-                bucket.append(Generator(s, labels))
-    for i in generators:
-        generators[i].sort(key=Generator.sort_key)
-    index = {i: {g: t for t, g in enumerate(gens)}
-             for i, gens in generators.items()}
-
-    transitions: Dict[Tuple[Tuple[int, ...], int], EdgeTransition] = {}
-    for s in states:
-        for c in range(n):
-            if s[c] == 0:
-                transitions[(s, c)] = edge_transition(D, s, c)
-
-    differential: Dict[int, SparseMat] = {}
-    degs = sorted(generators)
-    for i in degs:
-        nxt = generators.get(i + 1, [])
-        mat = SparseMat(len(nxt), len(generators[i]), k)
-        tgt_index = index.get(i + 1, {})
-        for col, g in enumerate(generators[i]):
-            ids = circle_ids[g.state]
-            labeling = dict(zip(ids, g.labels))
-            for c in range(n):
-                if g.state[c] != 0:
-                    continue
-                t = transitions[(g.state, c)]
-                to_ids = circle_ids[t.to_state]
-                for lab, coeff in apply_edge_map(t.kind, labeling, k,
-                                                 t.bystander_map):
-                    labels = tuple(lab[cid] for cid in to_ids)
-                    if reduced and not keep(t.to_state, labels):
-                        # quotient projection: terms hitting killed
-                        # generators vanish
-                        continue
-                    h = Generator(t.to_state, labels)
-                    row = tgt_index.get(h)
-                    if row is None:
+        entries = differential[i].entries
+        by_power = cols[i]
+        for cr in range(n):
+            if s[cr]:
+                continue
+            t = b | (1 << cr)
+            edge = _classify_edge(D.crossings[cr], ids[b], pos[b], ids[t], pos[t])
+            pp, pt = pointed[b], pointed[t]
+            if pp is not None and pp in edge[1]:
+                # the killed span must be a subcomplex, else the quotient
+                # is not a complex: a v_minus at the basepoint stays there
+                for m, _ in _edge_images(*edge, 1 << pp):
+                    if not (m >> pt) & 1:
                         raise SubcomplexViolation(
-                            f"edge image {h!r} missing from degree {i + 1}")
-                    mat.add_to(row, col, coeff)
-        differential[i] = mat
+                            f"killed generator leaks at state {s}, crossing {cr}")
+            # the rows of one edge lie in the block of state t; the columns
+            # are filled a block at a time, shifted to its first row
+            row0, rows = first[t], local[t]
+            for mask, off in local[b].items():
+                col = first[b] + off
+                block = [0, 0]
+                for m, p in _edge_images(*edge, mask):
+                    if pt is not None and (m >> pt) & 1:
+                        continue  # quotient projection: killed terms vanish
+                    r = rows[m]
+                    if ((block[0] | block[1]) >> r) & 1:
+                        raise SubcomplexViolation(
+                            f"entry ({row0 + r}, {col}) of degree {i} written twice")
+                    block[p] |= 1 << r
+                    if p < k:
+                        entries[(row0 + r, col)] = elem[p]
+                for p, part in enumerate(block):
+                    if part:
+                        by_power[p][col] |= part << row0
 
-    C = GradedComplex(D, k, reduced, bp, generators, differential, circle_ids)
-    report = verify_d_squared(C)
-    if not report.passed:
-        raise SubcomplexViolation(f"d squared nonzero: {report.failures}")
-    if reduced:
-        _assert_quotient_legal(D, k, bp, circle_ids, pointed, transitions)
-    return C
+    _check_u1(quantum, cols)
+    circle_ids = dict(zip(states, ids))
+    return GradedComplex(D, k, reduced, bp, generators, differential, circle_ids)
 
 
-def _assert_quotient_legal(D, k, bp, circle_ids, pointed, transitions):
-    """The v_minus-at-basepoint span must be a subcomplex, else the quotient
-    above is not a complex.  Checked structurally: every edge map out of a
-    killed labeling stays killed."""
-    for (state, c), t in transitions.items():
-        ids = circle_ids[state]
-        pc = pointed[state]
-        kind = t.kind
-        involved = ({kind.src_a, kind.src_b} if isinstance(kind, Merge)
-                    else {kind.src})
-        if pc not in involved:
+def _check_u1(quantum: Dict[int, List[int]],
+              cols: Dict[int, Sequence[List[int]]]) -> None:
+    """d^2 = 0 over F2[u], checked at u = 1 on the untruncated columns.
+
+    quantum[i][g] is the quantum degree of generator g of degree i, and
+    cols[i][p][g] the bitmask of the rows of degree i+1 that d meets from g
+    with the entry u^p.  Every entry must be u^((q_h - q_g)/2).  Then every
+    entry of d^2 is a sum of equal powers of u, so d^2 vanishes over F2[u],
+    and at every k, exactly when it vanishes at u = 1.  The truncated
+    matrices would not do: at k = 2 two u-entries compose to a u^2 path that
+    truncation drops, so the parity of a count at u = 1 can be wrong there.
+    Raises SubcomplexViolation naming the first degree that fails.
+    """
+    at_one: Dict[int, List[int]] = {}
+    for i in sorted(cols):
+        bitsets: Dict[int, bytearray] = {}  # quantum degree -> rows there
+        above = quantum.get(i + 1, ())
+        for h, q in enumerate(above):
+            if q not in bitsets:
+                bitsets[q] = bytearray((len(above) + 7) // 8)
+            bitsets[q][h >> 3] |= 1 << (h & 7)
+        rows_at = {q: int.from_bytes(bs, "little") for q, bs in bitsets.items()}
+        qs = quantum[i]
+        for p, by_gen in enumerate(cols[i]):
+            for g, col in enumerate(by_gen):
+                if col and col & rows_at.get(qs[g] + 2 * p, 0) != col:
+                    raise SubcomplexViolation(
+                        f"d entry u^{p} at degree {i}, generator {g}"
+                        " is not u^(dq/2)")
+        merged = [0] * len(qs)
+        for by_gen in cols[i]:
+            for g, col in enumerate(by_gen):
+                merged[g] |= col
+        at_one[i] = merged
+    for i, by_gen in at_one.items():
+        nxt = at_one.get(i + 1)
+        if nxt is None:
             continue
-        labeling = {cid: (MINUS if cid == pc else PLUS) for cid in ids}
-        for lab, _ in apply_edge_map(kind, labeling, k, t.bystander_map):
-            if lab[pointed[t.to_state]] != MINUS:
+        for g, col in enumerate(by_gen):
+            acc = 0
+            while col:
+                low = col & -col
+                acc ^= nxt[low.bit_length() - 1]
+                col ^= low
+            if acc:
                 raise SubcomplexViolation(
-                    f"killed generator leaks at state {state}, crossing {c}")
+                    f"d squared nonzero at degree {i}, generator {g}")
 
 
 class DSquaredReport:

@@ -531,6 +531,59 @@ def _circle_count(D: Diagram, state: Sequence[int]) -> int:
     return count
 
 
+def _arc_positions(r: Resolution) -> bytes:
+    """pos[arc] = index of the arc's circle in r.circle_ids (pos[0] unused)."""
+    pos = bytearray(sum(len(c) for c in r.circles) + 1)
+    for t, circle in enumerate(r.circles):
+        for arc in circle:
+            pos[arc] = t
+    return bytes(pos)
+
+
+def _classify_edge(quad, ids_from, pos_from, ids_to, pos_to):
+    """Merge or split of the cube edge at the crossing `quad`, read off the
+    resolutions at its two ends (sorted circle ids and arc -> position maps).
+
+    Returns (merge, src, dst, bystanders) in circle positions: src are the
+    circles of the from-state that the edge touches (arcs a and c of the
+    crossing for a merge, the one circle for a split), dst those of the
+    to-state (the merged circle; or the circles of arcs a and b), and
+    bystanders pairs every other from-circle with its to-circle.
+    """
+    a, b, c, _ = quad
+    pa, pc = pos_from[a], pos_from[c]
+    if pa != pc:
+        merge, src, dst = True, (pa, pc), (pos_to[a],)
+    else:
+        da, db = pos_to[a], pos_to[b]
+        if da == db:
+            raise AssertionError("split produced a single circle")
+        merge, src, dst = False, (pa,), (da, db)
+    # a bystander keeps its arcs, hence its min-arc id; both id lists are
+    # sorted, so the bystanders pair up in order
+    from_rest = [t for t in range(len(ids_from)) if t not in src]
+    to_rest = [t for t in range(len(ids_to)) if t not in dst]
+    if [ids_from[t] for t in from_rest] != [ids_to[t] for t in to_rest]:
+        raise AssertionError("bystander circle changed arcs across the edge")
+    return merge, src, dst, list(zip(from_rest, to_rest))
+
+
+def _transition(D: Diagram, crossing: int, before, pos_before,
+                after, pos_after) -> EdgeTransition:
+    """The EdgeTransition of one cube edge from its two ends and their
+    arc -> position maps; an end is anything with the `state` and the
+    `circle_ids` of its resolution (a Resolution, a brcover VertexGroup)."""
+    ids_from, ids_to = before.circle_ids, after.circle_ids
+    merge, src, dst, bystanders = _classify_edge(
+        D.crossings[crossing], ids_from, pos_before, ids_to, pos_after)
+    if merge:
+        kind = Merge(ids_from[src[0]], ids_from[src[1]], ids_to[dst[0]])
+    else:
+        kind = Split(ids_from[src[0]], ids_to[dst[0]], ids_to[dst[1]])
+    return EdgeTransition(before.state, after.state, kind,
+                          {ids_from[f]: ids_to[t] for f, t in bystanders})
+
+
 def edge_transition(D: Diagram, state: Sequence[int], crossing: int) -> EdgeTransition:
     """Classify the cube edge that flips `crossing` from 0 to 1."""
     state = tuple(state)
@@ -539,33 +592,9 @@ def edge_transition(D: Diagram, state: Sequence[int], crossing: int) -> EdgeTran
     if state[crossing] != 0:
         raise CrossingAlreadyOne(f"crossing {crossing} already resolved to 1")
     to_state = state[:crossing] + (1,) + state[crossing + 1:]
-    before = resolve(D, state)
-    after = resolve(D, to_state)
-    a, b, c, d = D.crossings[crossing]
-    src_1, src_2 = before.circle_of(a), before.circle_of(c)
-    if src_1 != src_2:
-        kind = Merge(src_1, src_2, after.circle_of(a))
-        participants_from = {src_1, src_2}
-        participants_to = {kind.dst}
-    else:
-        dst_a, dst_b = after.circle_of(a), after.circle_of(b)
-        if dst_a == dst_b:
-            raise AssertionError("split produced a single circle")
-        kind = Split(src_1, dst_a, dst_b)
-        participants_from = {src_1}
-        participants_to = {dst_a, dst_b}
-    by_from = {cid: set(circ) for cid, circ in zip(before.circle_ids, before.circles)
-               if cid not in participants_from}
-    by_to = {cid: frozenset(circ) for cid, circ in zip(after.circle_ids, after.circles)
-             if cid not in participants_to}
-    inv = {arcs: cid for cid, arcs in by_to.items()}
-    bystanders = {}
-    for cid, arcs in by_from.items():
-        target = inv.get(frozenset(arcs))
-        if target is None:
-            raise AssertionError("bystander circle changed arcs across the edge")
-        bystanders[cid] = target
-    return EdgeTransition(state, to_state, kind, bystanders)
+    before, after = resolve(D, state), resolve(D, to_state)
+    return _transition(D, crossing, before, _arc_positions(before),
+                       after, _arc_positions(after))
 
 
 # ---------------------------------------------------------------------------

@@ -122,13 +122,25 @@ class SparseMat:
     def mul(self, other: "SparseMat") -> "SparseMat":
         if self.cols != other.rows or self.k != other.k:
             raise DimensionMismatch("incompatible product")
-        by_row: Dict[int, List[Tuple[int, RingElem]]] = {}
+        # coefficients as bit strings while summing; RingElems at the end
+        by_row: Dict[int, List[Tuple[int, int]]] = {}
         for (r, c), e in other.entries.items():
-            by_row.setdefault(r, []).append((c, e))
-        out = SparseMat(self.rows, other.cols, self.k)
+            by_row.setdefault(r, []).append((c, e.bits))
+        mask = (1 << self.k) - 1
+        acc: Dict[Tuple[int, int], int] = {}  # nonzero sums only
         for (r, c), e in self.entries.items():
-            for c2, e2 in by_row.get(c, ()):
-                out.add_to(r, c2, e * e2)
+            a = e.bits
+            for c2, b in by_row.get(c, ()):
+                prod, x = 0, a
+                while x:
+                    lsb = x & -x
+                    prod ^= b << (lsb.bit_length() - 1)
+                    x ^= lsb
+                v = (acc.pop((r, c2), 0) ^ prod) & mask
+                if v:
+                    acc[(r, c2)] = v
+        out = SparseMat(self.rows, other.cols, self.k)
+        out.entries = {key: RingElem(self.k, v) for key, v in acc.items()}
         return out
 
     def is_zero(self) -> bool:
@@ -172,15 +184,6 @@ class F2Mat:
     def get(self, r: int, c: int) -> int:
         return (self.data[r] >> c) & 1
 
-    def column(self, c: int) -> int:
-        """Column c as an int with bit r per row."""
-        out = 0
-        bit = 1 << c
-        for r, row in enumerate(self.data):
-            if row & bit:
-                out |= 1 << r
-        return out
-
     def mul(self, other: "F2Mat") -> "F2Mat":
         if self.cols != other.rows:
             raise DimensionMismatch("incompatible product")
@@ -203,16 +206,6 @@ class F2Mat:
             if (row & v).bit_count() & 1:
                 out |= 1 << r
         return out
-
-    def transpose(self) -> "F2Mat":
-        out = [0] * self.cols
-        for r, row in enumerate(self.data):
-            x = row
-            while x:
-                lsb = x & -x
-                out[lsb.bit_length() - 1] |= 1 << r
-                x ^= lsb
-        return F2Mat(self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -258,7 +251,11 @@ def f2_rank(M: F2Mat) -> RankResult:
             if piv_row[p] & bit:
                 v |= 1 << p
         kernel.append(v)
-    image = [M.column(c) for c in pivots]
+    image = [0] * rank
+    for r, row in enumerate(M.data):
+        for t, c in enumerate(pivots):
+            if (row >> c) & 1:
+                image[t] |= 1 << r
     # rank-nullity, asserted on every call
     assert rank + len(kernel) == M.cols
     return RankResult(rank, kernel, image, F2Mat(rank, M.cols, rr), pivots)

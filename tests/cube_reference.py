@@ -1,0 +1,97 @@
+"""The cube complexes assembled the direct way, as a reference for the
+builders: resolve every state, classify every edge with
+`linkdiag.edge_transition` (which resolves both of its ends again), and push
+dict labelings through `khcube.apply_edge_map` or the model's
+`brcover.edge_map_brcover`, summing into `SparseMat` entries.
+
+Each function returns (generator sort keys per degree, differential per
+degree as (rows, cols, {(row, col): coefficient bits})).
+"""
+
+from khbn.brcover import BrGen, VertexGroup, edge_map_brcover
+from khbn.khcube import PLUS, Generator, apply_edge_map
+from khbn.linkdiag import edge_transition, resolve
+from khbn.ringalg import SparseMat
+
+
+def _states(n):
+    return [tuple((bits >> c) & 1 for c in range(n)) for bits in range(1 << n)]
+
+
+def _flat(generators, differential):
+    return ({i: [g.sort_key() for g in gens] for i, gens in generators.items()},
+            {i: (m.rows, m.cols, {key: e.bits for key, e in m.entries.items()})
+             for i, m in differential.items()})
+
+
+def reference_complex(D, k, reduced=False, basepoint=None):
+    states = _states(D.n)
+    circle_ids, pointed = {}, {}
+    for s in states:
+        r = resolve(D, s, basepoint)
+        circle_ids[s] = r.circle_ids
+        pointed[s] = r.pointed_circle
+
+    def keep(state, labels):
+        return (not reduced
+                or labels[circle_ids[state].index(pointed[state])] == PLUS)
+
+    generators = {}
+    for s in states:
+        c = len(circle_ids[s])
+        bucket = generators.setdefault(sum(s) - D.n_minus, [])
+        for bits in range(1 << c):
+            labels = tuple((bits >> t) & 1 for t in range(c))
+            if keep(s, labels):
+                bucket.append(Generator(s, labels))
+    for gens in generators.values():
+        gens.sort(key=Generator.sort_key)
+    index = {i: {g: t for t, g in enumerate(gens)}
+             for i, gens in generators.items()}
+    differential = {}
+    for i, gens in generators.items():
+        mat = SparseMat(len(generators.get(i + 1, ())), len(gens), k)
+        for col, g in enumerate(gens):
+            labeling = dict(zip(circle_ids[g.state], g.labels))
+            for c in range(D.n):
+                if g.state[c]:
+                    continue
+                t = edge_transition(D, g.state, c)
+                for lab, coeff in apply_edge_map(t.kind, labeling, k,
+                                                 t.bystander_map):
+                    labels = tuple(lab[cid] for cid in circle_ids[t.to_state])
+                    if keep(t.to_state, labels):
+                        h = Generator(t.to_state, labels)
+                        mat.add_to(index[i + 1][h], col, coeff)
+        differential[i] = mat
+    return _flat(generators, differential)
+
+
+def reference_e1(D, basepoint):
+    states = _states(D.n)
+    vertices = {}
+    for s in states:
+        r = resolve(D, s, basepoint)
+        vertices[s] = VertexGroup(s, r.circle_ids, r.pointed_circle)
+    generators = {}
+    for s, V in vertices.items():
+        generators.setdefault(sum(s), []).extend(
+            BrGen(s, mask) for mask in range(V.rank))
+    for gens in generators.values():
+        gens.sort(key=BrGen.sort_key)
+    index = {w: {g: t for t, g in enumerate(gens)}
+             for w, gens in generators.items()}
+    differential = {w: SparseMat(len(generators.get(w + 1, ())), len(gens), 2)
+                    for w, gens in generators.items()}
+    for s in states:
+        for c in range(D.n):
+            if s[c]:
+                continue
+            t = edge_transition(D, s, c)
+            emap = edge_map_brcover(t, vertices[s], vertices[t.to_state])
+            w = sum(s)
+            col0 = index[w][BrGen(s, 0)]
+            row0 = index[w + 1][BrGen(t.to_state, 0)]
+            for (r, cc), e in emap.entries.items():
+                differential[w].add_to(row0 + r, col0 + cc, e)
+    return _flat(generators, differential)

@@ -1,5 +1,6 @@
 import pytest
 
+from cube_reference import reference_e1
 from khbn.brcover import (BrGen, E1Complex, UnclassifiedEdge, VertexGroup,
                           build_e1_complex, edge_map_brcover,
                           edge_map_raw_split, phi, split_change_of_basis,
@@ -123,6 +124,21 @@ def test_identification_small_links():
         rep = verify_theorem_main(D, D.arcs[0])
         assert rep.passed, (name, rep)
         assert rep.edges_checked == D.n * (1 << (D.n - 1)) if D.n else True
+
+
+def test_e1_builder_matches_reference_assembly():
+    """Generator order and every entry of the model's d, against the direct
+    assembly through edge_transition (tests/cube_reference.py)."""
+    for name, (pd, _) in sorted(TABLE.items()):
+        D = parse_pd(pd)
+        if D.n > 6:
+            continue
+        C = build_e1_complex(D, D.arcs[0])
+        got = ({w: [g.sort_key() for g in gens]
+                for w, gens in C.generators.items()},
+               {w: (m.rows, m.cols, {key: e.bits for key, e in m.entries.items()})
+                for w, m in C.differential.items()})
+        assert got == reference_e1(D, D.arcs[0]), name
 
 
 def test_identification_sees_a_broken_map(monkeypatch):

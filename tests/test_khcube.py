@@ -2,9 +2,13 @@ import random
 
 import pytest
 
+import khbn.brcover as brcover
+import khbn.khcube as khcube
+import khbn.linkdiag as linkdiag
+from cube_reference import reference_complex
 from khbn.khcube import (BasepointMissing, Generator, MINUS, PLUS,
-                         ResourceLimit, apply_edge_map, build_complex,
-                         verify_d_squared)
+                         ResourceLimit, SubcomplexViolation, _check_u1,
+                         apply_edge_map, build_complex, verify_d_squared)
 from khbn.linkdiag import (Merge, Split, from_braid, load_link_table,
                            parse_pd, resolve)
 
@@ -161,3 +165,72 @@ def test_pointed_circle_tracked():
     r = resolve(D, (0, 0, 0), 1)
     assert r.pointed_circle == r.circle_of(1)
     assert r.pointed_circle in r.circle_ids
+
+
+def test_builder_matches_reference_assembly():
+    """Generator order and every entry of d, against the direct assembly
+    through edge_transition and apply_edge_map (tests/cube_reference.py)."""
+    for name, (pd, _) in sorted(load_link_table().items()):
+        D = parse_pd(pd)
+        if D.n > 7:
+            continue
+        for k in (1, 2):
+            for reduced in (False, True):
+                bp = D.arcs[0] if reduced else None
+                C = build_complex(D, k, reduced=reduced, basepoint=bp)
+                got = ({i: [g.sort_key() for g in gens]
+                        for i, gens in C.generators.items()},
+                       {i: (m.rows, m.cols,
+                            {key: e.bits for key, e in m.entries.items()})
+                        for i, m in C.differential.items()})
+                assert got == reference_complex(D, k, reduced, bp), \
+                    (name, k, reduced)
+
+
+def test_builders_resolve_each_state_once(monkeypatch):
+    calls = {"khcube": 0, "brcover": 0}
+
+    def counting(module):
+        real = getattr(module, "resolve")
+
+        def resolve_counted(*args, **kwargs):
+            calls[module.__name__.split(".")[-1]] += 1
+            return real(*args, **kwargs)
+        return resolve_counted
+
+    def no_edge_transition(*args, **kwargs):
+        raise AssertionError("a builder called edge_transition")
+
+    for module in (khcube, brcover):
+        monkeypatch.setattr(module, "resolve", counting(module))
+    for module in (linkdiag, khcube, brcover):
+        monkeypatch.setattr(module, "edge_transition", no_edge_transition,
+                            raising=False)
+    for D in (parse_pd("U"), parse_pd(TREFOIL), from_braid([1, -2, 1, -2, 3], 4)):
+        for k, reduced in ((1, False), (2, True)):
+            calls["khcube"] = 0
+            build_complex(D, k, reduced=reduced, basepoint=D.arcs[0])
+            assert calls["khcube"] == 1 << D.n
+        calls["brcover"] = 0
+        brcover.build_e1_complex(D, D.arcs[0])
+        assert calls["brcover"] == 1 << D.n
+
+
+def test_u1_check_fails_loudly():
+    # degrees 0..2, one generator each, all at quantum 0: d1 d0 g = x
+    quantum = {0: [0], 1: [0], 2: [0]}
+    with pytest.raises(SubcomplexViolation, match="d squared nonzero at degree 0"):
+        _check_u1(quantum, {0: ([0b1], [0]), 1: ([0b1], [0]), 2: ([0], [0])})
+    # a square commutes: g -> h1 + h2 -> 2x = 0
+    quantum = {0: [0], 1: [0, 0], 2: [0]}
+    _check_u1(quantum, {0: ([0b11], [0]), 1: ([0b1, 0b1], [0, 0]),
+                        2: ([0], [0])})
+    # two u-entries compose to u^2 x: zero at k = 2 once truncated, but not
+    # zero over F2[u]; the untruncated columns see it
+    quantum = {1: [0], 2: [2], 3: [4]}
+    with pytest.raises(SubcomplexViolation, match="degree 1"):
+        _check_u1(quantum, {1: ([0], [0b1]), 2: ([0], [0b1]), 3: ([0], [0])})
+    # one entry u^1 between equal quantum degrees breaks homogeneity
+    quantum = {0: [0, 2], 1: [2, 2]}
+    with pytest.raises(SubcomplexViolation, match="at degree 0"):
+        _check_u1(quantum, {0: ([0b00, 0b01], [0b10, 0b10]), 1: ([0, 0], [0, 0])})
