@@ -129,10 +129,10 @@ class E1Complex:
     """Total complex of the model, graded by raw cube weight.
 
     Quacks like khcube.GradedComplex enough for the homology machinery:
-    k, degrees(), generators, index, d(), bidegree().
+    k, degrees(), generators, d(), bidegree().
     """
 
-    __slots__ = ("D", "k", "basepoint", "vertices", "generators", "index",
+    __slots__ = ("D", "k", "basepoint", "vertices", "generators",
                  "differential")
 
     def __init__(self, D, basepoint, vertices, generators, differential):
@@ -142,8 +142,6 @@ class E1Complex:
         self.vertices: Dict[Tuple[int, ...], VertexGroup] = vertices
         self.generators: Dict[int, List[BrGen]] = generators
         self.differential: Dict[int, SparseMat] = differential
-        self.index = {w: {g: n for n, g in enumerate(gens)}
-                      for w, gens in generators.items()}
 
     def degrees(self) -> List[int]:
         return sorted(self.generators)
@@ -307,12 +305,10 @@ def _cube(D: Diagram, bp: int):
     return vertices, transitions
 
 
-def build_e1_complex(D: Diagram, basepoint: Optional[int] = None) -> E1Complex:
-    """All 2^n vertex groups and the n 2^(n-1) edge maps; asserts d^2 = 0."""
-    bp = basepoint if basepoint is not None else D.basepoint_arc
-    if bp is None:
-        raise BasepointMissing("the model is pointed; pick a basepoint arc")
-    vertices, transitions = _cube(D, bp)
+def _assemble(D: Diagram, bp: int, vertices: Dict[Tuple[int, ...], VertexGroup],
+              edges) -> E1Complex:
+    """The model's total complex from its vertex groups and an iterable of
+    (transition, edge matrix); asserts d^2 = 0."""
     generators: Dict[int, List[BrGen]] = {}
     for s, V in vertices.items():
         bucket = generators.setdefault(sum(s), [])
@@ -325,9 +321,8 @@ def build_e1_complex(D: Diagram, basepoint: Optional[int] = None) -> E1Complex:
     differential: Dict[int, SparseMat] = {
         w: SparseMat(len(generators.get(w + 1, ())), len(gens), 2)
         for w, gens in generators.items()}
-    for _, t in transitions:
+    for t, emap in edges:
         w = sum(t.from_state)
-        emap = edge_map_brcover(t, vertices[t.from_state], vertices[t.to_state])
         col0 = index[w][BrGen(t.from_state, 0)]
         row0 = index[w + 1][BrGen(t.to_state, 0)]
         mat = differential[w]
@@ -338,6 +333,17 @@ def build_e1_complex(D: Diagram, basepoint: Optional[int] = None) -> E1Complex:
     if not report.passed:
         raise DSquaredFailure(f"model differential fails d^2=0: {report.failures}")
     return C
+
+
+def build_e1_complex(D: Diagram, basepoint: Optional[int] = None) -> E1Complex:
+    """All 2^n vertex groups and the n 2^(n-1) edge maps; asserts d^2 = 0."""
+    bp = basepoint if basepoint is not None else D.basepoint_arc
+    if bp is None:
+        raise BasepointMissing("the model is pointed; pick a basepoint arc")
+    vertices, transitions = _cube(D, bp)
+    return _assemble(D, bp, vertices, (
+        (t, edge_map_brcover(t, vertices[t.from_state], vertices[t.to_state]))
+        for _, t in transitions))
 
 
 def phi(V: VertexGroup, mask: int) -> Generator:
@@ -387,25 +393,31 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
     chain_failures = []
     edges = 0
     vertices, transitions = _cube(D, bp)
-    for c, t in transitions:
-        V_from, V_to = vertices[t.from_state], vertices[t.to_state]
-        edges += 1
-        model = edge_map_brcover(t, V_from, V_to)
-        # conjugate the reduced cube edge map through phi
-        pulled = SparseMat(V_to.rank, V_from.rank, 2)
-        for mask in range(V_from.rank):
-            g = phi(V_from, mask)
-            labeling = dict(zip(V_from.circle_ids, g.labels))
-            for lab, coeff in apply_edge_map(t.kind, labeling, 2,
-                                             t.bystander_map):
-                if lab[V_to.pointed] == MINUS:
-                    continue  # reduced quotient
-                named = tuple(cid for cid in V_to.nonpointed
-                              if lab[cid] == MINUS)
-                pulled.add_to(V_to.mask_of(named), mask, coeff)
-        if not (model == pulled):
-            chain_failures.append((t.from_state, c))
-    E1 = build_e1_complex(D, bp)
+
+    def compared():
+        # each model edge map, once checked against the pulled-back cube map
+        nonlocal edges
+        for c, t in transitions:
+            V_from, V_to = vertices[t.from_state], vertices[t.to_state]
+            edges += 1
+            model = edge_map_brcover(t, V_from, V_to)
+            # conjugate the reduced cube edge map through phi
+            pulled = SparseMat(V_to.rank, V_from.rank, 2)
+            for mask in range(V_from.rank):
+                g = phi(V_from, mask)
+                labeling = dict(zip(V_from.circle_ids, g.labels))
+                for lab, coeff in apply_edge_map(t.kind, labeling, 2,
+                                                 t.bystander_map):
+                    if lab[V_to.pointed] == MINUS:
+                        continue  # reduced quotient
+                    named = tuple(cid for cid in V_to.nonpointed
+                                  if lab[cid] == MINUS)
+                    pulled.add_to(V_to.mask_of(named), mask, coeff)
+            if not (model == pulled):
+                chain_failures.append((t.from_state, c))
+            yield t, model
+
+    E1 = _assemble(D, bp, vertices, compared())
     try:
         M_model = bigraded_homology(E1)
     except InhomogeneousEntry as e:

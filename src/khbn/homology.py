@@ -9,9 +9,13 @@ arXiv:math/0411225; Zomorodian-Carlsson, DCG 2005).  One column reduction
 at u = 1 pairs the generators, and the towers of F2[u]/u^k are read off the
 pairs and the unpaired generators.
 
-The exact triangle is checked on its own: the complex is flattened to F2
-per bidegree, and explicit cycle representatives carry the maps of the
-triangle.  That check shares no code with the barcode.
+The exact triangle is checked on its own, on one k = 2 build.  d is read
+once and split into its u^0 part d0 and its u^1 part d1, quantum slice by
+quantum slice.  The Khovanov complex is d0 on each slice, and BN2 at (i, j)
+is the two-layer slice S(i, j) + u S(i, j+2).  Explicit cycle
+representatives carry the maps of the triangle: u is a bit shift, setting
+u = 0 a bit mask, and the connecting map applies d1.  That check shares no
+code with the barcode; the u-adic pages in sseq use the same slices.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .ringalg import F2Mat, f2_rank
 
 __all__ = [
     "ModuleDecomp",
-    "HomologyBasis",
     "bigraded_homology",
     "euler_characteristic",
     "connecting_map",
@@ -143,96 +146,6 @@ class _CosetBasis:
         return tag
 
 
-class HomologyBasis:
-    """Chosen per-bidegree homology data of one GradedComplex.
-
-    reps[(i,j)] is the list of representative cycles (bitmasks over the
-    flat (generator, u_power) basis at (i,j)); cosets[(i,j)] reads the
-    class of a cycle off in those representatives.
-    """
-
-    __slots__ = ("C", "flat_basis", "flat_index", "reps", "cosets")
-
-    def __init__(self, C, flat_basis, flat_index, reps, cosets):
-        self.C = C
-        self.flat_basis = flat_basis
-        self.flat_index = flat_index
-        self.reps: Dict[Tuple[int, int], List[int]] = reps
-        self.cosets: Dict[Tuple[int, int], _CosetBasis] = cosets
-
-    def dim(self, i: int, j: int) -> int:
-        return len(self.reps.get((i, j), ()))
-
-    def bidegrees(self) -> List[Tuple[int, int]]:
-        return sorted(bd for bd, r in self.reps.items() if r)
-
-
-def _flatten_blocks(C: GradedComplex):
-    """Per degree: flat bases keyed by quantum grading, and the block
-    matrices of d between matching quantum gradings."""
-    k = C.k
-    flat_basis: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
-    flat_index: Dict[int, Dict[Tuple[int, int], int]] = {}
-    for i in C.degrees():
-        byj: Dict[int, List[Tuple[int, int]]] = {}
-        for gidx, g in enumerate(C.generators[i]):
-            for p in range(k):
-                byj.setdefault(C.bidegree(g, p)[1], []).append((gidx, p))
-        flat_basis[i] = byj
-        flat_index[i] = {}
-        for j, basis in byj.items():
-            for pos, gp in enumerate(basis):
-                flat_index[i][gp] = pos
-    blocks: Dict[Tuple[int, int], F2Mat] = {}
-    for i in C.degrees():
-        tgt = flat_basis.get(i + 1, {})
-        data: Dict[int, List[int]] = {
-            j: [0] * len(tgt.get(j, ())) for j in flat_basis[i]}
-        mat = C.d(i)
-        for (h, g), e in mat.entries.items():
-            jg = C.bidegree(C.generators[i][g], 0)[1]
-            for b in range(k):
-                if not e.coeff(b):
-                    continue
-                for p in range(k - b):
-                    j = jg - 2 * p
-                    row = flat_index[i + 1].get((h, p + b))
-                    if row is None:
-                        continue
-                    col = flat_index[i][(g, p)]
-                    data[j][row] |= 1 << col
-        for j, rows in data.items():
-            blocks[(i, j)] = F2Mat(len(rows), len(flat_basis[i][j]), rows)
-    return flat_basis, flat_index, blocks
-
-
-def _block_ranks(blocks):
-    """kernel/image bases of every boundary block, one elimination each."""
-    out = {}
-    for key, m in blocks.items():
-        r = f2_rank(m)
-        out[key] = (r.kernel_basis, r.image_basis)
-    return out
-
-
-def _homology_basis(C: GradedComplex) -> HomologyBasis:
-    flat_basis, flat_index, blocks = _flatten_blocks(C)
-    pre = _block_ranks(blocks)
-    reps: Dict[Tuple[int, int], List[int]] = {}
-    cosets: Dict[Tuple[int, int], _CosetBasis] = {}
-    for (i, j) in sorted(pre):
-        cb = _CosetBasis()
-        for v in pre.get((i - 1, j), ((), ()))[1]:
-            cb.add(v, 0)
-        chosen: List[int] = []
-        for v in pre[(i, j)][0]:
-            if cb.add(v, 1 << len(chosen)):
-                chosen.append(v)
-        reps[(i, j)] = chosen
-        cosets[(i, j)] = cb
-    return HomologyBasis(C, flat_basis, flat_index, reps, cosets)
-
-
 def _bits(x: int):
     while x:
         low = x & -x
@@ -323,6 +236,66 @@ def euler_characteristic(M: ModuleDecomp) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
+# the u^0 and u^1 parts of d, quantum slice by quantum slice
+
+def _u_slices(C: GradedComplex):
+    """d read once and split into its u^0 part d0 and its u^1 part d1.
+
+    S(i, j) lists the generators of degree i at quantum j, in generator
+    order.  Returns size[(i, j)] = |S(i, j)| and cols[(i, j)] = (d0, d1),
+    where d0[s] and d1[s] are the images of the s-th generator of S(i, j)
+    as bitmasks over the positions of S(i+1, j) and of S(i+1, j+2).  Every
+    entry of the cube's d is u^0 or u^1, as its two quantum degrees fix;
+    any other entry raises InhomogeneousEntry.
+    """
+    slot: Dict[int, List[Tuple[int, int]]] = {}  # generator -> (j, position)
+    size: Dict[Tuple[int, int], int] = {}
+    for i in C.degrees():
+        slot[i] = []
+        for g in C.generators[i]:
+            j = C.bidegree(g)[1]
+            s = size.get((i, j), 0)
+            size[(i, j)] = s + 1
+            slot[i].append((j, s))
+    cols = {key: ([0] * n, [0] * n) for key, n in size.items()}
+    for i in C.degrees():
+        for (h, g), e in C.d(i).entries.items():
+            j, s = slot[i][g]
+            jh, r = slot[i + 1][h]
+            if jh - j not in (0, 2) or e.bits != 1 << (jh - j) // 2:
+                raise InhomogeneousEntry(
+                    f"d entry {e!r} at degree {i} is not u^0 or u^1 = u^(dq/2)")
+            cols[(i, j)][(jh - j) // 2][s] |= 1 << r
+    return size, cols
+
+
+def _layers(size, i: int, j: int, k: int) -> List[int]:
+    """|S(i, j+2p)| for the layers p = 0..k-1 of the k-layer slice at (i, j)."""
+    return [size.get((i, j + 2 * p), 0) for p in range(k)]
+
+
+def _layer_cols(size, cols, i: int, j: int, k: int) -> List[int]:
+    """d from the k-layer slice at (i, j) to the one at (i+1, j), as
+    columns (bitmasks over the target slice).
+
+    Layer p holds u^p g for every g in S(i, j+2p), so every element of the
+    slice has quantum degree j.  d0 maps a layer to itself, d1 maps layer p
+    to layer p+1, and the d1 image of the last layer is u^k = 0.  The k = 1
+    slices form the Khovanov complex over F2, the k = 2 slices BN2.
+    """
+    tgt = _layers(size, i + 1, j, k)
+    shift = [sum(tgt[:p]) for p in range(k + 1)]
+    out: List[int] = []
+    for p in range(k):
+        d0, d1 = cols.get((i, j + 2 * p), ((), ()))
+        if p + 1 < k:
+            out += [a << shift[p] | b << shift[p + 1] for a, b in zip(d0, d1)]
+        else:
+            out += [a << shift[p] for a in d0]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # exact triangle
 
 class TriangleReport:
@@ -338,108 +311,119 @@ class TriangleReport:
                 f" failures={self.failures})")
 
 
-def connecting_map(C2: GradedComplex,
-                   H1: Optional[HomologyBasis] = None) -> Dict[Tuple[int, int], F2Mat]:
-    """Bockstein-type map Kh^{i,j} -> Kh^{i+1,j+2} from the u-coefficient
-    sequence: lift a Khovanov cycle into the k=2 complex, apply d (the
-    image is divisible by u), divide by u, read off the class.
+def _kernel_image(cols: List[int]) -> Tuple[List[int], List[int]]:
+    """Kernel basis (bitmasks over the columns) and image basis of the F2
+    matrix with these columns, by one left-to-right column reduction."""
+    owner: Dict[int, Tuple[int, int]] = {}  # low -> (reduced column, combination)
+    kernel: List[int] = []
+    for c, v in enumerate(cols):
+        tag = 1 << c
+        while v:
+            low = v.bit_length() - 1
+            if low not in owner:
+                owner[low] = (v, tag)
+                break
+            w, t = owner[low]
+            v ^= w
+            tag ^= t
+        else:
+            kernel.append(tag)
+    return kernel, [v for v, _ in owner.values()]
 
-    Needs C2 built with k=2; the Khovanov side is its u=0 specialization.
-    """
+
+def _slice_homology(size, cols, k: int):
+    """Homology of every nonempty k-layer slice, keyed by (i, j): the
+    representative cycles (bitmasks over the slice) and the coset basis
+    that reads the class of a cycle off in them."""
+    keys = sorted({(i, j - 2 * p) for (i, j) in size for p in range(k)})
+    reduced = {key: _kernel_image(_layer_cols(size, cols, *key, k))
+               for key in keys}
+    out: Dict[Tuple[int, int], Tuple[List[int], _CosetBasis]] = {}
+    for i, j in keys:
+        cb = _CosetBasis()
+        for v in reduced[(i - 1, j)][1] if (i - 1, j) in reduced else ():
+            cb.add(v, 0)
+        reps: List[int] = []
+        for z in reduced[(i, j)][0]:
+            if cb.add(z, 1 << len(reps)):
+                reps.append(z)
+        out[(i, j)] = (reps, cb)
+    return out
+
+
+def _classes(H, key: Tuple[int, int], cycles: List[int]) -> F2Mat:
+    """Column c is the class of cycles[c] in the homology H at key."""
+    reps, cosets = H.get(key, ((), None))
+    m = F2Mat(len(reps), len(cycles))
+    if cosets is not None:
+        for col, z in enumerate(cycles):
+            for row in _bits(cosets.coords(z)):
+                m.set(row, col, 1)
+    return m
+
+
+def _delta(size, cols, kh) -> Dict[Tuple[int, int], F2Mat]:
+    """delta: Kh^{i,j} -> Kh^{i+1,j+2} on every Khovanov slice.  A d0-cycle
+    z lifts to itself in the k = 2 complex, where dz = u d1 z; so delta z
+    is the class of d1 z."""
+    out: Dict[Tuple[int, int], F2Mat] = {}
+    for (i, j), (zs, _) in kh.items():
+        d1 = cols[(i, j)][1]
+        images = []
+        for z in zs:
+            w = 0
+            for s in _bits(z):
+                w ^= d1[s]
+            images.append(w)
+        out[(i, j)] = _classes(kh, (i + 1, j + 2), images)
+    return out
+
+
+def connecting_map(C2: GradedComplex) -> Dict[Tuple[int, int], F2Mat]:
+    """Bockstein-type map Kh^{i,j} -> Kh^{i+1,j+2} of the u-coefficient
+    sequence, read off the k = 2 complex alone: Khovanov homology is the
+    homology of its u^0 part d0, and delta applies its u^1 part d1 to
+    d0-cycles (see _delta)."""
     if C2.k != 2:
         raise ValueError("connecting map defined for k=2 complexes")
-    if H1 is None:
-        H1 = _homology_basis(
-            build_complex(C2.D, 1, C2.reduced, C2.basepoint, force=True))
-    C1 = H1.C
-    out: Dict[Tuple[int, int], F2Mat] = {}
-    for (i, j), zs in H1.reps.items():
-        tgt = H1.reps.get((i + 1, j + 2), [])
-        m = F2Mat(len(tgt), len(zs))
-        if zs and tgt:
-            basis = H1.flat_basis[i][j]
-            d2 = C2.d(i)
-            idx2 = {g: t for t, g in enumerate(C2.generators.get(i, []))}
-            by_col: Dict[int, List[int]] = {}
-            for (r, cc), e in d2.entries.items():
-                if e.coeff(1):
-                    by_col.setdefault(cc, []).append(r)
-            for col, z in enumerate(zs):
-                # lift: same generators, u^0 coefficients; apply d over k=2
-                image: Dict[int, int] = {}
-                for pos in _bits(z):
-                    g, p = basis[pos]
-                    if p != 0:
-                        raise LiftFailure("Khovanov flat basis has u-power 0 only")
-                    gen = C1.generators[i][g]
-                    for r in by_col.get(idx2[gen], ()):
-                        image[r] = image.get(r, 0) ^ 1
-                w = 0
-                for r, bit in image.items():
-                    if bit:
-                        gen2 = C2.generators[i + 1][r]
-                        g1 = H1.C.index[i + 1][gen2]
-                        w |= 1 << H1.flat_index[i + 1][(g1, 0)]
-                tags = H1.cosets[(i + 1, j + 2)].coords(w)
-                for row in _bits(tags):
-                    m.set(row, col, 1)
-        out[(i, j)] = m
-    return out
+    size, cols = _u_slices(C2)
+    return _delta(size, cols, _slice_homology(size, cols, 1))
 
 
 def verify_triangle(D: Diagram, reduced: bool = False,
                     basepoint: Optional[int] = None) -> TriangleReport:
     """Exactness of ... -> Kh^{i,j+2} -u-> BN2^{i,j} -> Kh^{i,j} -> Kh^{i+1,j+2} -> ...
 
-    built from the chain-level sequence 0 -> C1 -u-> C2 -> C1 -> 0;
-    checked node by node as explicit matrices, not just dimensions.
+    built from the chain-level sequence 0 -> C1{2} -u-> C2 -> C1 -> 0 on
+    one k = 2 build, split into d0 and d1 per quantum slice: Kh is the
+    homology of the 1-layer slices and BN2 that of the 2-layer slices.  u
+    shifts a cycle of S(i, j+2) into layer 1 of the slice at (i, j), the
+    projection keeps layer 0, and delta applies d1.  Checked node by node
+    as explicit matrices, not just dimensions.
     """
     C2 = build_complex(D, 2, reduced, basepoint, force=True)
-    C1 = build_complex(D, 1, reduced, basepoint, force=True)
-    H2 = _homology_basis(C2)
-    H1 = _homology_basis(C1)
-    delta = connecting_map(C2, H1)
+    size, cols = _u_slices(C2)
+    kh = _slice_homology(size, cols, 1)
+    bn = _slice_homology(size, cols, 2)
+    delta = _delta(size, cols, kh)
+
+    def reps(H, i: int, j: int) -> List[int]:
+        return H.get((i, j), ((), None))[0]
+
+    def dim(H, i: int, j: int) -> int:
+        return len(reps(H, i, j))
 
     def iota(i: int, j: int) -> F2Mat:
         # Kh^{i,j+2} -> BN^{i,j}: multiply representatives by u
-        src = H1.reps.get((i, j + 2), [])
-        tgt = H2.reps.get((i, j), [])
-        m = F2Mat(len(tgt), len(src))
-        if src and (i, j) in H2.cosets:
-            basis = H1.flat_basis[i][j + 2]
-            for col, z in enumerate(src):
-                w = 0
-                for pos in _bits(z):
-                    g, p = basis[pos]
-                    gen = C1.generators[i][g]
-                    g2 = H2.C.index[i][gen]
-                    w |= 1 << H2.flat_index[i][(g2, p + 1)]
-                tags = H2.cosets[(i, j)].coords(w)
-                for row in _bits(tags):
-                    m.set(row, col, 1)
-        return m
+        shift = size.get((i, j), 0)
+        return _classes(bn, (i, j), [z << shift for z in reps(kh, i, j + 2)])
 
     def pi(i: int, j: int) -> F2Mat:
         # BN^{i,j} -> Kh^{i,j}: delete u
-        src = H2.reps.get((i, j), [])
-        tgt = H1.reps.get((i, j), [])
-        m = F2Mat(len(tgt), len(src))
-        if src and (i, j) in H1.cosets:
-            basis = H2.flat_basis[i][j]
-            for col, z in enumerate(src):
-                w = 0
-                for pos in _bits(z):
-                    g, p = basis[pos]
-                    if p == 0:
-                        gen = C2.generators[i][g]
-                        g1 = H1.C.index[i][gen]
-                        w |= 1 << H1.flat_index[i][(g1, 0)]
-                tags = H1.cosets[(i, j)].coords(w)
-                for row in _bits(tags):
-                    m.set(row, col, 1)
-        return m
+        mask = (1 << size.get((i, j), 0)) - 1
+        return _classes(kh, (i, j), [x & mask for x in reps(bn, i, j)])
 
-    bds = set(H1.bidegrees()) | set(H2.bidegrees())
+    bds = {bd for H in (kh, bn) for bd, (reps, _) in H.items() if reps}
     support = set()
     for (i, j) in bds:
         support.add((i, j))
@@ -460,16 +444,16 @@ def verify_triangle(D: Diagram, reduced: bool = False,
             failures.append((name, i, j, dim_node, rk_in, rk_out))
 
     for (i, j) in sorted(support):
-        dim_bn = H2.dim(i, j)
-        dim_kh = H1.dim(i, j)
+        dim_bn = dim(bn, i, j)
+        dim_kh = dim(kh, i, j)
         if dim_bn:
             check("BN", i, j, iota(i, j), pi(i, j), dim_bn)
         if dim_kh:
             inc = pi(i, j)
-            out = delta.get((i, j), F2Mat(H1.dim(i + 1, j + 2), dim_kh))
+            out = delta.get((i, j), F2Mat(dim(kh, i + 1, j + 2), dim_kh))
             check("Kh", i, j, inc, out, dim_kh)
             # third node type: Kh^{i,j} as target of the connecting map
-            inc2 = delta.get((i - 1, j - 2), F2Mat(dim_kh, H1.dim(i - 1, j - 2)))
+            inc2 = delta.get((i - 1, j - 2), F2Mat(dim_kh, dim(kh, i - 1, j - 2)))
             out2 = iota(i, j - 2)
             check("Kh-post", i, j, inc2, out2, dim_kh)
     return TriangleReport(not failures, nodes, failures)

@@ -89,7 +89,7 @@ class GradedComplex:
     """Chain complex of free F2[u]/u^k modules indexed by homological degree."""
 
     __slots__ = ("D", "k", "reduced", "basepoint", "generators", "differential",
-                 "index", "circle_ids")
+                 "circle_ids")
 
     def __init__(self, D, k, reduced, basepoint, generators, differential,
                  circle_ids):
@@ -100,9 +100,6 @@ class GradedComplex:
         self.generators: Dict[int, List[Generator]] = generators
         self.differential: Dict[int, SparseMat] = differential
         self.circle_ids: Dict[Tuple[int, ...], Tuple[int, ...]] = circle_ids
-        self.index: Dict[int, Dict[Generator, int]] = {
-            i: {g: n for n, g in enumerate(gens)}
-            for i, gens in generators.items()}
 
     def degrees(self) -> List[int]:
         return sorted(self.generators)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .khcube import GradedComplex
-from .homology import ModuleDecomp, _flatten_blocks
+from .homology import ModuleDecomp, _bits, _layer_cols, _layers, _u_slices
 from .ringalg import Echelon, F2Mat, f2_rank
 
 __all__ = [
@@ -107,26 +107,29 @@ class PageTable:
 
 
 def u_adic_filtration(C: GradedComplex) -> Dict[int, FilteredComplex]:
-    """Slice the flattened cube complex by quantum grading; level k-1-p."""
-    flat_basis, _, blocks = _flatten_blocks(C)
-    js = sorted({j for i in flat_basis for j in flat_basis[i]})
+    """One filtered complex per quantum degree j: the k-layer slices at
+    (i, j), with layer p (the elements u^p g) at level k-1-p."""
+    k = C.k
+    size, cols = _u_slices(C)
+    js = sorted({j - 2 * p for (_, j) in size for p in range(k)})
     out: Dict[int, FilteredComplex] = {}
     for j in js:
         dims: Dict[int, int] = {}
         levels: Dict[int, List[int]] = {}
+        for i in C.degrees():
+            layers = _layers(size, i, j, k)
+            if any(layers):
+                dims[i] = sum(layers)
+                levels[i] = [k - 1 - p for p, n in enumerate(layers)
+                             for _ in range(n)]
         d: Dict[int, F2Mat] = {}
-        for i in sorted(flat_basis):
-            basis = flat_basis[i].get(j)
-            if basis is None:
-                continue
-            dims[i] = len(basis)
-            levels[i] = [C.k - 1 - p for (_, p) in basis]
         for i in dims:
-            m = blocks.get((i, j))
-            if m is not None and (i + 1) in dims:
-                d[i] = m
-            elif m is not None and not m.is_zero():
-                raise FiltrationViolation("differential leaves recorded support")
+            if i + 1 in dims:
+                rows = [0] * dims[i + 1]
+                for c, col in enumerate(_layer_cols(size, cols, i, j, k)):
+                    for r in _bits(col):
+                        rows[r] |= 1 << c
+                d[i] = F2Mat(dims[i + 1], dims[i], rows)
         out[j] = FilteredComplex(dims, d, levels, quantum=j)
     return out
 
@@ -214,13 +217,6 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
             if dim > pages[r].get(key, 0):
                 raise AssertionError(f"page dimensions grew at {key}, r={r + 1}")
     return PageTable(pages, r_stab, depth, quantum=F.quantum)
-
-
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 class GrReport:

@@ -3,12 +3,14 @@ import os
 import random
 
 from dense_oracle import dense_decomp
+import khbn.homology as homology
 from khbn.brcover import build_e1_complex
 from khbn.homology import (ModuleDecomp, _barcode, bigraded_homology,
                            euler_characteristic, verify_triangle)
 from khbn.khcube import build_complex
 from khbn.laurent import Laurent
 from khbn.linkdiag import from_braid, kauffman_jones, load_link_table, parse_pd
+from khbn.ringalg import F2Mat
 
 
 def decomp(name, k, reduced=False, basepoint=None):
@@ -149,6 +151,38 @@ def test_skein_triangle():
         assert rep.passed, (name, rep.failures)
         rep = verify_triangle(D, reduced=True, basepoint=D.arcs[0])
         assert rep.passed, (name, rep.failures)
+
+
+def test_triangle_sees_a_zero_connecting_map(monkeypatch):
+    # trefoil_L has gap-1 bars, so delta is nonzero and exactness needs it
+    real = homology._delta
+
+    def zero(*args):
+        return {key: F2Mat(m.rows, m.cols) for key, m in real(*args).items()}
+
+    D = parse_pd(load_link_table()["trefoil_L"][0])
+    assert any(not m.is_zero() for m in homology.connecting_map(
+        build_complex(D, 2)).values())
+    monkeypatch.setattr(homology, "_delta", zero)
+    rep = verify_triangle(D)
+    assert not rep.passed
+    assert {f[0] for f in rep.failures} & {"Kh", "Kh-post"}
+
+
+def test_triangle_builds_one_cube(monkeypatch):
+    calls = []
+    real = homology.build_complex
+
+    def counted(D, k, *args, **kwargs):
+        calls.append(k)
+        return real(D, k, *args, **kwargs)
+
+    monkeypatch.setattr(homology, "build_complex", counted)
+    D = parse_pd(load_link_table()["figure8"][0])
+    assert verify_triangle(D).passed
+    assert calls == [2]
+    assert verify_triangle(D, reduced=True, basepoint=D.arcs[0]).passed
+    assert calls == [2, 2]
 
 
 def test_decomp_roundtrip_and_sum():

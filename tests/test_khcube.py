@@ -99,16 +99,25 @@ def test_differential_is_quantum_homogeneous():
 
 
 def test_k1_is_k2_without_u():
-    D = from_braid([1, 1, 1], 2)
-    C1 = build_complex(D, 1)
-    C2 = build_complex(D, 2)
-    for i in C1.degrees():
-        assert [g.sort_key() for g in C1.generators[i]] == \
-               [g.sort_key() for g in C2.generators[i]]
-        d1, d2 = C1.d(i), C2.d(i)
-        keys = set(d1.entries) | set(d2.entries)
-        for key in keys:
-            assert d1.get(*key).coeff(0) == d2.get(*key).coeff(0)
+    # the exact triangle reads Khovanov homology off the u^0 part of k = 2
+    diagrams = [("braid 1,1,1", from_braid([1, 1, 1], 2))]
+    for name, (pd, _) in sorted(load_link_table().items()):
+        D = parse_pd(pd)
+        if D.n <= 6:
+            diagrams.append((name, D))
+    for name, D in diagrams:
+        for bp in (None, D.arcs[0]):
+            C1 = build_complex(D, 1, reduced=bp is not None, basepoint=bp)
+            C2 = build_complex(D, 2, reduced=bp is not None, basepoint=bp)
+            assert C1.degrees() == C2.degrees(), name
+            for i in C1.degrees():
+                assert [g.sort_key() for g in C1.generators[i]] == \
+                       [g.sort_key() for g in C2.generators[i]], (name, bp)
+                d1, d2 = C1.d(i), C2.d(i)
+                keys = set(d1.entries) | set(d2.entries)
+                for key in keys:
+                    assert d1.get(*key).coeff(0) == d2.get(*key).coeff(0), \
+                        (name, bp, i, key)
 
 
 def test_d_squared_random_braids():
@@ -214,6 +223,10 @@ def test_builders_resolve_each_state_once(monkeypatch):
         calls["brcover"] = 0
         brcover.build_e1_complex(D, D.arcs[0])
         assert calls["brcover"] == 1 << D.n
+        calls["brcover"] = calls["khcube"] = 0
+        assert brcover.verify_theorem_main(D, D.arcs[0]).passed
+        assert calls["brcover"] == 1 << D.n
+        assert calls["khcube"] == 1 << D.n
 
 
 def test_u1_check_fails_loudly():
