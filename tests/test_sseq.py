@@ -1,3 +1,5 @@
+import json
+import os
 import random
 
 import pytest
@@ -112,3 +114,32 @@ def test_gr_check_detects_corruption():
     assert any(not rep.passed for rep in reports)
     failing = [rep for rep in reports if not rep.passed]
     assert all(rep.mismatches for rep in failing)
+
+
+def test_golden_pages():
+    """Every bundled entry up to 8 crossings, unreduced at k = 2 and 3 and
+    reduced at k = 2 at its first arc: r_stab and the pages E_0 .. E_r_stab
+    of every quantum slice against golden_pages.json (captured with the
+    F2Mat row-matrix implementation that filtration_pages had before it
+    read bitmask columns)."""
+    with open(os.path.join(os.path.dirname(__file__), "golden_pages.json")) as fh:
+        golden = json.load(fh)
+    table = load_link_table()
+    diagrams = {name: parse_pd(pd) for name, (pd, _) in table.items()}
+    assert sorted(golden) == sorted(n for n, D in diagrams.items() if D.n <= 8)
+    for name, want in golden.items():
+        D = diagrams[name]
+        builds = {"k2": build_complex(D, 2),
+                  "k2_reduced": build_complex(D, 2, reduced=True,
+                                              basepoint=D.arcs[0]),
+                  "k3": build_complex(D, 3)}
+        got = {}
+        for flavour, C in builds.items():
+            got[flavour] = {}
+            for j, F in u_adic_filtration(C).items():
+                P = filtration_pages(F)
+                got[flavour][str(j)] = {
+                    "r_stab": P.r_stab,
+                    "pages": [{f"{p},{q}": d for (p, q), d in page.items()}
+                              for page in P.pages[:P.r_stab + 1]]}
+        assert got == want, name
