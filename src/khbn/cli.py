@@ -27,7 +27,7 @@ import click
 from . import __version__
 from .brcover import build_e1_complex, verify_theorem_main
 from .homology import bigraded_homology, euler_characteristic, verify_triangle
-from .khcube import BasepointMissing, ResourceLimit, build_complex
+from .khcube import ResourceLimit, build_complex
 from .laurent import Laurent
 from .linkdiag import (Diagram, DiagramError, from_braid, kauffman_jones,
                        load_link_table, parse_pd, render)
@@ -99,7 +99,13 @@ def _diagram_hash(D: Diagram) -> str:
 
 
 def _default_basepoint(D: Diagram, basepoint: Optional[int]) -> int:
-    return D.arcs[0] if basepoint is None else basepoint
+    """The marked arc: basepoint, or the lowest arc label when it is None.
+    A usage error when D has no such arc."""
+    if basepoint is None:
+        return D.arcs[0]
+    if basepoint not in D.arcs:
+        raise click.UsageError(f"arc {basepoint} does not occur in the diagram")
+    return basepoint
 
 
 def _poincare_text(f2: Dict[Tuple[int, int], int]) -> str:
@@ -309,8 +315,6 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
         except ResourceLimit as e:
             click.echo(f"refused: {e}; rerun with --force", err=True)
             sys.exit(3)
-        except BasepointMissing as e:
-            raise click.UsageError(str(e))
         decomp = bigraded_homology(C)
         report = _invariant_report(D, invariant, k, reduced, bp, decomp)
         click.echo(f"computed in {time.perf_counter() - t0:.3f}s", err=True)
@@ -337,8 +341,7 @@ def _check_euler(D: Diagram, k: int) -> Tuple[bool, str]:
     return False, f"chi = {_laurent_text(chi)} but state sum gives {_laurent_text(expect)}"
 
 
-def _check_triangle(D: Diagram, reduced: bool, basepoint: Optional[int]) -> Tuple[bool, str]:
-    bp = _default_basepoint(D, basepoint) if reduced else None
+def _check_triangle(D: Diagram, reduced: bool, bp: Optional[int]) -> Tuple[bool, str]:
     rep = verify_triangle(D, reduced=reduced, basepoint=bp)
     if rep.passed:
         return True, f"{len(rep.nodes)} nodes exact"
@@ -382,8 +385,8 @@ def _check_basepoint(D: Diagram, k: int) -> Tuple[bool, str]:
     return True, f"{len(arcs)} arcs agree"
 
 
-def _check_brcover(D: Diagram, basepoint: Optional[int]) -> Tuple[bool, str]:
-    rep = verify_theorem_main(D, basepoint=_default_basepoint(D, basepoint))
+def _check_brcover(D: Diagram, bp: int) -> Tuple[bool, str]:
+    rep = verify_theorem_main(D, basepoint=bp)
     if rep.passed:
         return True, f"{rep.edges_checked} edges intertwined, modules agree"
     if rep.chain_failures:
@@ -392,8 +395,7 @@ def _check_brcover(D: Diagram, basepoint: Optional[int]) -> Tuple[bool, str]:
 
 
 def _check_sseq(D: Diagram, k: int, reduced: bool,
-                basepoint: Optional[int]) -> Tuple[bool, str]:
-    bp = _default_basepoint(D, basepoint) if reduced else None
+                bp: Optional[int]) -> Tuple[bool, str]:
     C = build_complex(D, k, reduced=reduced, basepoint=bp, force=True)
     M = bigraded_homology(C)
     for j, F in sorted(u_adic_filtration(C).items()):
@@ -422,20 +424,20 @@ CHECKS = ["euler", "triangle", "splitting", "basepoint", "brcover", "sseq",
 
 
 def _run_check(check: str, label: str, pd_text: str, k: int, reduced: bool,
-               basepoint: Optional[int]) -> Tuple[str, bool, str]:
+               bp: Optional[int]) -> Tuple[str, bool, str]:
     D = parse_pd(pd_text)
     if check == "euler":
         ok, detail = _check_euler(D, k)
     elif check == "triangle":
-        ok, detail = _check_triangle(D, reduced, basepoint)
+        ok, detail = _check_triangle(D, reduced, bp)
     elif check == "splitting":
         ok, detail = _check_splitting(D, k)
     elif check == "basepoint":
         ok, detail = _check_basepoint(D, k)
     elif check == "brcover":
-        ok, detail = _check_brcover(D, basepoint)
+        ok, detail = _check_brcover(D, bp)
     else:
-        ok, detail = _check_sseq(D, k, reduced, basepoint)
+        ok, detail = _check_sseq(D, k, reduced, bp)
     return label, ok, detail
 
 
@@ -486,6 +488,8 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
         _finish(len(pairs), failures)
         return
 
+    # the marked arc of each diagram, checked here and not in a worker
+    pointed = check == "brcover" or (reduced and check in ("triangle", "sseq"))
     if all_table:
         if pd or braid or name:
             raise click.UsageError("--all-table excludes --pd/--braid/--name")
@@ -498,14 +502,16 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
             if D.n > 14 and not force:
                 click.echo(f"skip {nm}: {D.n} crossings (use --force)", err=True)
                 continue
-            targets.append((check, nm, table[nm][0], k, reduced, basepoint))
+            bp = _default_basepoint(D, basepoint) if pointed else None
+            targets.append((check, nm, table[nm][0], k, reduced, bp))
     else:
         D = _resolve_diagram(pd, braid, strands, name)
         if D.n > 14 and not force:
             click.echo(f"refused: {D.n} crossings; rerun with --force", err=True)
             sys.exit(3)
         label = name if name else render(D)
-        targets = [(check, label, render(D), k, reduced, basepoint)]
+        bp = _default_basepoint(D, basepoint) if pointed else None
+        targets = [(check, label, render(D), k, reduced, bp)]
 
     results = []
     if jobs > 1 and len(targets) > 1:
@@ -550,8 +556,6 @@ def sseq_cmd(pd, braid, strands, name, k, reduced, basepoint, force) -> None:
     except ResourceLimit as e:
         click.echo(f"refused: {e}; rerun with --force", err=True)
         sys.exit(3)
-    except BasepointMissing as e:
-        raise click.UsageError(str(e))
     M = bigraded_homology(C)
     flavour = "reduced" if reduced else "unreduced"
     click.echo(f"pd: {render(D)}")

@@ -14,8 +14,10 @@ once and split into its u^0 part d0 and its u^1 part d1, quantum slice by
 quantum slice.  The Khovanov complex is d0 on each slice, and BN2 at (i, j)
 is the two-layer slice S(i, j) + u S(i, j+2).  Explicit cycle
 representatives carry the maps of the triangle: u is a bit shift, setting
-u = 0 a bit mask, and the connecting map applies d1.  That check shares no
-code with the barcode; the u-adic pages in sseq use the same slices.
+u = 0 a bit mask, and the connecting map applies d1.  The kernels, and the
+class of a cycle in its representatives, come from tagged ringalg.Echelon
+reductions.  That check shares no code with the barcode; the u-adic pages
+in sseq use the same slices.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from .laurent import Laurent
 from .linkdiag import Diagram
 from .khcube import GradedComplex, build_complex
-from .ringalg import F2Mat, f2_rank
+from .ringalg import Echelon, F2Mat, LiftFailure, f2_rank, kernel
 
 __all__ = [
     "ModuleDecomp",
@@ -36,10 +38,6 @@ __all__ = [
     "LiftFailure",
     "InhomogeneousEntry",
 ]
-
-
-class LiftFailure(RuntimeError):
-    pass
 
 
 class InhomogeneousEntry(AssertionError):
@@ -112,45 +110,19 @@ class ModuleDecomp:
         return "ModuleDecomp(" + ", ".join(parts) + ")"
 
 
-class _CosetBasis:
-    """Echelon basis with combination tracking, for quotient coordinates.
-
-    Image vectors enter with empty tags; representative r enters tagged by
-    bit r.  coords(v) returns the tag bitmask of v's class.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: List[Tuple[int, int]] = []  # (vector, tag), vector != 0
-
-    def _reduce(self, v: int, tag: int) -> Tuple[int, int]:
-        for w, t in self.rows:
-            if v & (w & -w):
-                v ^= w
-                tag ^= t
-        return v, tag
-
-    def add(self, v: int, tag: int) -> bool:
-        v, tag = self._reduce(v, tag)
-        if v == 0:
-            return False
-        self.rows.append((v, tag))
-        self.rows.sort(key=lambda wt: wt[0] & -wt[0])
-        return True
-
-    def coords(self, v: int) -> int:
-        v, tag = self._reduce(v, 0)
-        if v != 0:
-            raise LiftFailure("vector not in the tracked span")
-        return tag
-
-
 def _bits(x: int):
     while x:
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
+
+
+def _apply(cols: List[int], x: int) -> int:
+    """The F2 matrix with these columns applied to the vector x."""
+    out = 0
+    for c in _bits(x):
+        out ^= cols[c]
+    return out
 
 
 def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
@@ -311,43 +283,22 @@ class TriangleReport:
                 f" failures={self.failures})")
 
 
-def _kernel_image(cols: List[int]) -> Tuple[List[int], List[int]]:
-    """Kernel basis (bitmasks over the columns) and image basis of the F2
-    matrix with these columns, by one left-to-right column reduction."""
-    owner: Dict[int, Tuple[int, int]] = {}  # low -> (reduced column, combination)
-    kernel: List[int] = []
-    for c, v in enumerate(cols):
-        tag = 1 << c
-        while v:
-            low = v.bit_length() - 1
-            if low not in owner:
-                owner[low] = (v, tag)
-                break
-            w, t = owner[low]
-            v ^= w
-            tag ^= t
-        else:
-            kernel.append(tag)
-    return kernel, [v for v, _ in owner.values()]
-
-
 def _slice_homology(size, cols, k: int):
     """Homology of every nonempty k-layer slice, keyed by (i, j): the
-    representative cycles (bitmasks over the slice) and the coset basis
-    that reads the class of a cycle off in them."""
+    representative cycles (bitmasks over the slice) and an Echelon of the
+    boundaries plus the representatives, representative r tagged by bit r,
+    whose coords read the class of a cycle off in them."""
     keys = sorted({(i, j - 2 * p) for (i, j) in size for p in range(k)})
-    reduced = {key: _kernel_image(_layer_cols(size, cols, *key, k))
+    reduced = {key: kernel(enumerate(_layer_cols(size, cols, *key, k)))
                for key in keys}
-    out: Dict[Tuple[int, int], Tuple[List[int], _CosetBasis]] = {}
+    out: Dict[Tuple[int, int], Tuple[List[int], Echelon]] = {}
     for i, j in keys:
-        cb = _CosetBasis()
-        for v in reduced[(i - 1, j)][1] if (i - 1, j) in reduced else ():
-            cb.add(v, 0)
+        cosets = Echelon(reduced[(i - 1, j)][1] if (i - 1, j) in reduced else ())
         reps: List[int] = []
         for z in reduced[(i, j)][0]:
-            if cb.add(z, 1 << len(reps)):
+            if cosets.add(z, 1 << len(reps)):
                 reps.append(z)
-        out[(i, j)] = (reps, cb)
+        out[(i, j)] = (reps, cosets)
     return out
 
 
@@ -369,13 +320,7 @@ def _delta(size, cols, kh) -> Dict[Tuple[int, int], F2Mat]:
     out: Dict[Tuple[int, int], F2Mat] = {}
     for (i, j), (zs, _) in kh.items():
         d1 = cols[(i, j)][1]
-        images = []
-        for z in zs:
-            w = 0
-            for s in _bits(z):
-                w ^= d1[s]
-            images.append(w)
-        out[(i, j)] = _classes(kh, (i + 1, j + 2), images)
+        out[(i, j)] = _classes(kh, (i + 1, j + 2), [_apply(d1, z) for z in zs])
     return out
 
 

@@ -1,9 +1,13 @@
 """Exact arithmetic in F2[u]/u^k and sparse/bit-packed linear algebra over F2.
 
-RingElem and SparseMat hold the cube complex over F2[u]/u^k.  F2Mat,
-f2_rank and Echelon are the GF(2) elimination behind the exact triangle and
-the spectral-sequence pages; nilpotent_block_multiplicities counts the
-Jordan blocks of a nilpotent F2 operator from the ranks of its powers.
+RingElem and SparseMat hold the cube complex over F2[u]/u^k.  Echelon is
+the package's incremental GF(2) eliminator on bitmask vectors: its rows can
+carry tags, so one column reduction gives a kernel (kernel) and coords reads
+quotient coordinates off it.  The spectral-sequence pages, the E_inf = gr
+check and the homology of the exact triangle's slices all run on it.  F2Mat
+and f2_rank serve the triangle's node maps, matrices of classes whose ranks
+decide exactness; nilpotent_block_multiplicities counts the Jordan blocks of
+a nilpotent F2 operator from the ranks of its powers.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ __all__ = [
     "f2_rank",
     "nilpotent_block_multiplicities",
     "Echelon",
+    "LiftFailure",
+    "kernel",
     "NotNilpotentAtOrderK",
     "DimensionMismatch",
 ]
@@ -319,13 +325,26 @@ def nilpotent_block_multiplicities(N: F2Mat, k: int) -> Dict[int, int]:
     return out
 
 
-class Echelon:
-    """Incremental GF(2) echelon basis keyed by lowest set bit."""
+class LiftFailure(RuntimeError):
+    """A vector lies outside the span it was to be written in."""
 
-    __slots__ = ("pivots",)
+
+class Echelon:
+    """Incremental GF(2) echelon basis keyed by lowest set bit.
+
+    A row may carry a tag, a bitmask that records which combination of
+    tagged inputs it is: reducing a vector XORs the tags of the rows used
+    into its own.  So kernels come out of a column reduction (column c
+    tagged by bit c; a column that reduces to 0 leaves its tag as a kernel
+    vector), and coords(v) reads off the combination of tagged inputs that
+    v equals modulo the untagged ones.
+    """
+
+    __slots__ = ("pivots", "tags")
 
     def __init__(self, vectors: Iterable[int] = ()):
         self.pivots: Dict[int, int] = {}
+        self.tags: Dict[int, int] = {}  # nonzero tags only, by pivot
         for v in vectors:
             self.add(v)
 
@@ -339,12 +358,39 @@ class Echelon:
             v ^= row
         return 0
 
-    def add(self, v: int) -> int:
-        """Reduce v; if independent, insert and return the reduced vector."""
-        v = self.reduce(v)
+    def reduce_tagged(self, v: int, tag: int = 0) -> Tuple[int, int]:
+        """Reduce v, and XOR the tags of the rows used into tag."""
+        piv, tags = self.pivots, self.tags
+        while v:
+            p = (v & -v).bit_length() - 1
+            row = piv.get(p)
+            if row is None:
+                break
+            v ^= row
+            tag ^= tags.get(p, 0)
+        return v, tag
+
+    def add(self, v: int, tag: int = 0) -> int:
+        """Reduce v; if independent, insert it with its reduced tag and
+        return the reduced vector, else return 0."""
+        if tag or self.tags:
+            v, tag = self.reduce_tagged(v, tag)
+        else:
+            v = self.reduce(v)
         if v:
-            self.pivots[(v & -v).bit_length() - 1] = v
+            p = (v & -v).bit_length() - 1
+            self.pivots[p] = v
+            if tag:
+                self.tags[p] = tag
         return v
+
+    def coords(self, v: int) -> int:
+        """The tag of v: the combination of tagged inputs that v equals
+        modulo the untagged ones.  LiftFailure if v is off the span."""
+        v, tag = self.reduce_tagged(v)
+        if v:
+            raise LiftFailure("vector not in the tracked span")
+        return tag
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -352,3 +398,18 @@ class Echelon:
     @property
     def dim(self) -> int:
         return len(self.pivots)
+
+
+def kernel(columns: Iterable[Tuple[int, int]]) -> Tuple[List[int], List[int]]:
+    """Kernel basis and image basis of the F2 matrix whose column c is v,
+    for the pairs (c, v), by one tagged column reduction.  Kernel vectors
+    are bitmasks over the c's."""
+    ech = Echelon()
+    out: List[int] = []
+    for c, v in columns:
+        v, tag = ech.reduce_tagged(v, 1 << c)
+        if v:
+            ech.add(v, tag)
+        else:
+            out.append(tag)
+    return out, list(ech.pivots.values())

@@ -17,6 +17,12 @@ match the graded pieces of the image filtration on homology; that
 filtration is computed honestly from cycle spans: a torsion class can be
 representable deeper in u than its tower position suggests, so the
 associated graded is not a function of the module decomposition alone.
+
+d is stored as column bitmasks, the format of the cube's slices.  Z_r^{p,i}
+is the kernel of the level <= p columns of d with only the rows above level
+p - r kept, from one tagged column reduction (ringalg.kernel) whose kernel
+vectors are bitmasks over the original columns; the cycles of F_p that the
+E_infty check needs are the same kernel with every row kept.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .khcube import GradedComplex
-from .homology import ModuleDecomp, _bits, _layer_cols, _layers, _u_slices
-from .ringalg import Echelon, F2Mat, f2_rank
+from .homology import ModuleDecomp, _apply, _layer_cols, _layers, _u_slices
+from .ringalg import Echelon, kernel
 
 __all__ = [
     "FilteredComplex",
@@ -41,34 +47,48 @@ class FiltrationViolation(AssertionError):
     pass
 
 
+def _above(levels: List[int], floor: int) -> int:
+    """Bitmask of the basis vectors whose level is above floor."""
+    mask = 0
+    for r, lv in enumerate(levels):
+        if lv > floor:
+            mask |= 1 << r
+    return mask
+
+
 class FilteredComplex:
     """Finite F2 complex with a level per basis vector.
 
-    d[i] maps degree i to i+1; quantum is an optional tag recording which
-    quantum grading this complex was sliced from.
+    d[i] maps degree i to i+1 as a list of dims[i] columns: column c is
+    the image of basis vector c, a bitmask over the basis of degree i+1
+    (bit r = row r).  A degree without d[i] maps to zero.  quantum is an
+    optional tag recording which quantum grading this complex was sliced
+    from.
     """
 
     __slots__ = ("dims", "d", "levels", "quantum")
 
-    def __init__(self, dims: Dict[int, int], d: Dict[int, F2Mat],
+    def __init__(self, dims: Dict[int, int], d: Dict[int, List[int]],
                  levels: Dict[int, List[int]], quantum: Optional[int] = None):
         self.dims = dict(dims)
         self.d = dict(d)
         self.levels = {i: list(v) for i, v in levels.items()}
         self.quantum = quantum
         for i, dim in self.dims.items():
-            if len(self.levels.get(i, ())) != dim:
+            if i not in self.levels or len(self.levels[i]) != dim:
                 raise FiltrationViolation(f"levels missing at degree {i}")
-        for i, m in self.d.items():
-            if m.cols != self.dims.get(i, 0) or m.rows != self.dims.get(i + 1, 0):
+        for i, cols in self.d.items():
+            lv_in = self.levels[i] if i in self.dims else []
+            lv_out = self.levels[i + 1] if i + 1 in self.dims else []
+            if len(cols) != len(lv_in) or any(v >> len(lv_out) for v in cols):
                 raise FiltrationViolation(f"matrix shape mismatch at degree {i}")
-            lv_in = self.levels.get(i, [])
-            lv_out = self.levels.get(i + 1, [])
-            for r in range(m.rows):
-                for c in range(m.cols):
-                    if m.get(r, c) and lv_out[r] > lv_in[c]:
-                        raise FiltrationViolation(
-                            f"d raises level at degree {i}: {lv_in[c]} -> {lv_out[r]}")
+            above = {lv: _above(lv_out, lv) for lv in set(lv_in)}
+            for c, v in enumerate(cols):
+                bad = v & above[lv_in[c]]
+                if bad:
+                    r = (bad & -bad).bit_length() - 1
+                    raise FiltrationViolation(
+                        f"d raises level at degree {i}: {lv_in[c]} -> {lv_out[r]}")
 
     def degrees(self) -> List[int]:
         return sorted(self.dims)
@@ -81,6 +101,21 @@ class FilteredComplex:
 
     def total_dim(self) -> int:
         return sum(self.dims.values())
+
+    def cycles(self, i: int, p: int, floor: Optional[int] = None) -> List[int]:
+        """Basis of {x in F_p C^i : dx in F_floor}, or of the cycles in
+        F_p C^i when floor is None: the kernel of the level <= p columns of
+        d[i], with only the rows above floor kept."""
+        if i not in self.dims:
+            return []
+        lv = self.levels[i]
+        if i not in self.d:
+            return [1 << c for c in range(len(lv)) if lv[c] <= p]
+        mask = -1
+        if floor is not None and i + 1 in self.dims:
+            mask = _above(self.levels[i + 1], floor)
+        return kernel((c, v & mask) for c, v in enumerate(self.d[i])
+                      if lv[c] <= p)[0]
 
 
 class PageTable:
@@ -122,14 +157,7 @@ def u_adic_filtration(C: GradedComplex) -> Dict[int, FilteredComplex]:
                 dims[i] = sum(layers)
                 levels[i] = [k - 1 - p for p, n in enumerate(layers)
                              for _ in range(n)]
-        d: Dict[int, F2Mat] = {}
-        for i in dims:
-            if i + 1 in dims:
-                rows = [0] * dims[i + 1]
-                for c, col in enumerate(_layer_cols(size, cols, i, j, k)):
-                    for r in _bits(col):
-                        rows[r] |= 1 << c
-                d[i] = F2Mat(dims[i + 1], dims[i], rows)
+        d = {i: _layer_cols(size, cols, i, j, k) for i in dims if i + 1 in dims}
         out[j] = FilteredComplex(dims, d, levels, quantum=j)
     return out
 
@@ -144,41 +172,16 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
         r_max = depth + 1
     zcache: Dict[Tuple[int, int, int], List[int]] = {}
 
-    def subspace(i: int, p: int) -> List[int]:
-        lv = F.levels.get(i, [])
-        return [1 << c for c in range(len(lv)) if lv[c] <= p]
-
     def Z(r: int, p: int, i: int) -> List[int]:
-        # basis of {x in F_p C^i : dx in F_{p-r}}; r = -1 means all of F_p
+        # basis of {x in F_p C^i : dx in F_{p-r}}; r = -1 means all of F_p.
+        # Every floor p - r at or above p gives all of F_p, and every floor
+        # below lo the cycles in F_p, so the floor is clamped to [lo-1, p]
         if p < lo:
             return []
-        if r < 0 or i not in F.dims:
-            return subspace(i, p)
-        key = (r, p, i)
-        if key in zcache:
-            return zcache[key]
-        m = F.d.get(i)
-        cols = [c for c in range(F.dims[i]) if F.levels[i][c] <= p]
-        if m is None or not cols:
-            res = [1 << c for c in cols]
-            zcache[key] = res
-            return res
-        bad_rows = [rr for rr in range(m.rows)
-                    if F.levels[i + 1][rr] > p - r]
-        sub = F2Mat(len(bad_rows), len(cols))
-        for new_r, rr in enumerate(bad_rows):
-            for new_c, cc in enumerate(cols):
-                if m.get(rr, cc):
-                    sub.set(new_r, new_c, 1)
-        kern = f2_rank(sub).kernel_basis
-        res = []
-        for v in kern:
-            w = 0
-            for b in _bits(v):
-                w |= 1 << cols[b]
-            res.append(w)
-        zcache[key] = res
-        return res
+        key = (i, p, min(max(p - r, lo - 1), p))
+        if key not in zcache:
+            zcache[key] = F.cycles(*key)
+        return zcache[key]
 
     pages: List[Dict[Tuple[int, int], int]] = []
     positions = sorted((i, p) for i in F.degrees()
@@ -189,13 +192,11 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
             znum = Z(r, p, i)
             if not znum:
                 continue
-            den = Echelon()
-            for v in Z(r - 1, p - 1, i):
-                den.add(v)
-            m_prev = F.d.get(i - 1)
-            if m_prev is not None:
+            den = Echelon(Z(r - 1, p - 1, i))
+            if i - 1 in F.d:
+                d_prev = F.d[i - 1]
                 for x in Z(r - 1, p + r - 1, i - 1):
-                    den.add(m_prev.apply(x))
+                    den.add(_apply(d_prev, x))
             # the denominator sits inside Z_r, so the subquotient dimension
             # is a plain difference
             dim = len(znum) - den.dim
@@ -214,7 +215,7 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
             break
     for r in range(len(pages) - 1):
         for key, dim in pages[r + 1].items():
-            if dim > pages[r].get(key, 0):
+            if key not in pages[r] or dim > pages[r][key]:
                 raise AssertionError(f"page dimensions grew at {key}, r={r + 1}")
     return PageTable(pages, r_stab, depth, quantum=F.quantum)
 
@@ -245,38 +246,17 @@ def verify_einfty_gr(F: FilteredComplex, M: ModuleDecomp,
     checked = 0
     mdims = M.f2_dimensions()
 
-    def cycles_in(i: int, p: int) -> List[int]:
-        # kernel of d restricted to the coordinate subspace F_p, embedded
-        # back into full coordinates; support filtering of a fixed kernel
-        # basis would miss combinations that cancel high-level coordinates
-        cols = [c for c in range(F.dims.get(i, 0)) if F.levels[i][c] <= p]
-        m = F.d.get(i)
-        if m is None or not cols:
-            return [1 << c for c in cols]
-        sub = F2Mat(m.rows, len(cols))
-        for new_c, cc in enumerate(cols):
-            for rr in range(m.rows):
-                if m.get(rr, cc):
-                    sub.set(rr, new_c, 1)
-        out = []
-        for v in f2_rank(sub).kernel_basis:
-            w = 0
-            for b in _bits(v):
-                w |= 1 << cols[b]
-            out.append(w)
-        return out
-
     for i in F.degrees():
-        m_in = F.d.get(i - 1)
-        image = f2_rank(m_in).image_basis if m_in is not None else []
-        im_ech = Echelon(image)
-        im_dim = im_ech.dim
+        # dim F_p H = dim (cycles in F_p + image) / image; the cycles in
+        # F_p must be the kernel of d on F_p, since support filtering of a
+        # fixed kernel basis would miss combinations that cancel
+        # high-level coordinates
+        ech = Echelon(F.d[i - 1] if i - 1 in F.d else ())
+        im_dim = ech.dim
         prev = 0
         for p in range(lo, hi + 1):
-            ech = Echelon(image)
-            for z in cycles_in(i, p):
+            for z in F.cycles(i, p):
                 ech.add(z)
-            # dim F_p H = dim (cycles in F_p + image) / image
             dim_fp = ech.dim - im_dim
             gr = dim_fp - prev
             prev = dim_fp
@@ -286,7 +266,7 @@ def verify_einfty_gr(F: FilteredComplex, M: ModuleDecomp,
                 mismatches.append(((p, i - p), got, gr))
         if F.quantum is not None:
             total = prev
-            want = mdims.get((i, F.quantum), 0)
+            want = mdims.pop((i, F.quantum), 0)
             checked += 1
             if total != want:
                 mismatches.append((("total", i, F.quantum), total, want))

@@ -142,6 +142,19 @@ def test_malformed_inputs_exit_2():
                "--basepoint", "1").exit_code == 2
     assert run("compute", "--name", "unknot", "--invariant", "kh",
                "--jobs", "2").exit_code == 2
+    # a marked arc the diagram does not have
+    braid = ("--braid", "1,1,1", "--strands", "2")
+    for args in (("verify", "triangle", "--reduced", *braid),
+                 ("verify", "sseq", "--reduced", *braid),
+                 ("verify", "triangle", "--reduced", "--all-table"),
+                 ("verify", "sseq", "--reduced", "--all-table"),
+                 ("verify", "brcover", *braid),
+                 ("compute", "--invariant", "brcover-e2", *braid),
+                 ("compute", "--invariant", "kh", "--reduced", *braid),
+                 ("sseq", "--reduced", *braid)):
+        r = run(*args, "--basepoint", "99")
+        assert r.exit_code == 2, (args, r.output)
+        assert "arc 99 does not occur in the diagram" in r.output, args
 
 
 def test_resource_guard_exit_3():

@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from khbn.ringalg import (DimensionMismatch, Echelon, F2Mat,
+from khbn.ringalg import (DimensionMismatch, Echelon, F2Mat, LiftFailure,
                           NotNilpotentAtOrderK, RingElem, SparseMat,
-                          f2_rank, nilpotent_block_multiplicities)
+                          f2_rank, kernel, nilpotent_block_multiplicities)
 
 from dense_oracle import dense_kernel, dense_rank
 
@@ -128,6 +128,53 @@ def test_echelon_membership():
         probe = rng.getrandbits(10)
         reduced = ech.reduce(probe)
         assert ech.contains(probe) == (reduced == 0)
+
+
+def test_echelon_coords_rebuild_the_combination():
+    """Untagged rows span a subspace B; tagged rows t_0, t_1, ... enter with
+    tag bit r.  coords(v) names the t_r whose sum is v modulo B, and v off
+    B + span(t) raises LiftFailure."""
+    rng = random.Random(15)
+    for _ in range(60):
+        n = rng.randrange(1, 14)
+        base = [rng.getrandbits(n) for _ in range(rng.randrange(4))]
+        ech = Echelon(base)
+        reps = []
+        for v in (rng.getrandbits(n) for _ in range(rng.randrange(6))):
+            if ech.add(v, 1 << len(reps)):
+                reps.append(v)
+        span = Echelon(base + reps)
+        for _ in range(10):
+            v = rng.getrandbits(n)
+            if not span.contains(v):
+                with pytest.raises(LiftFailure):
+                    ech.coords(v)
+                continue
+            tag = ech.coords(v)
+            w = v
+            for r, rep in enumerate(reps):
+                if tag >> r & 1:
+                    w ^= rep
+            assert Echelon(base).contains(w)
+        for r, rep in enumerate(reps):
+            assert ech.coords(rep) == 1 << r
+
+
+def test_kernel_matches_f2_rank():
+    rng = random.Random(16)
+    for _ in range(40):
+        rows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+        cols = [rng.getrandbits(rows) for _ in range(ncols)]
+        kern, image = kernel(enumerate(cols))
+        m = F2Mat(rows, ncols, [sum((cols[c] >> r & 1) << c for c in range(ncols))
+                                for r in range(rows)])
+        res = f2_rank(m)
+        assert len(image) == res.rank
+        assert len(kern) == ncols - res.rank
+        assert Echelon(kern).dim == len(kern)
+        for z in kern:
+            assert m.apply(z) == 0
+        assert all(Echelon(res.image_basis).contains(v) for v in image)
 
 
 # ----------------------------------------------------- block multiplicities

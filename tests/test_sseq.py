@@ -7,7 +7,6 @@ import pytest
 from khbn.homology import ModuleDecomp, bigraded_homology
 from khbn.khcube import build_complex
 from khbn.linkdiag import from_braid, load_link_table, parse_pd
-from khbn.ringalg import F2Mat
 from khbn.sseq import (FilteredComplex, FiltrationViolation,
                        filtration_pages, u_adic_filtration, verify_einfty_gr)
 
@@ -15,12 +14,10 @@ from khbn.sseq import (FilteredComplex, FiltrationViolation,
 def two_step():
     """0 -> F2^2 -> F2^2 -> 0 with one level-preserving and one
     level-dropping arrow; the page count is forced."""
-    d0 = F2Mat(2, 2)
-    d0.set(0, 1, 1)   # level 1 -> level 0 survives one page
-    d1 = F2Mat(0, 2)
     return FilteredComplex(
         dims={0: 2, 1: 2},
-        d={0: d0, 1: d1},
+        # column 1 (level 1) hits row 0 (level 0): it survives one page
+        d={0: [0b00, 0b01], 1: [0, 0]},
         levels={0: [0, 1], 1: [0, 1]},
     )
 
@@ -43,16 +40,18 @@ def test_zero_differential_stabilizes_immediately():
 
 
 def test_level_raising_rejected():
-    d0 = F2Mat(1, 1)
-    d0.set(0, 0, 1)
     with pytest.raises(FiltrationViolation):
-        FilteredComplex(dims={0: 1, 1: 1}, d={0: d0},
+        FilteredComplex(dims={0: 1, 1: 1}, d={0: [0b1]},
                         levels={0: [0], 1: [1]})
 
 
 def test_shape_mismatch_rejected():
     with pytest.raises(FiltrationViolation):
-        FilteredComplex(dims={0: 2, 1: 1}, d={0: F2Mat(2, 2)},
+        FilteredComplex(dims={0: 2, 1: 1}, d={0: [0, 0, 0]},
+                        levels={0: [0, 0], 1: [0]})
+    # a column with a bit at or past the target dimension
+    with pytest.raises(FiltrationViolation):
+        FilteredComplex(dims={0: 2, 1: 1}, d={0: [0b1, 0b10]},
                         levels={0: [0, 0], 1: [0]})
 
 
