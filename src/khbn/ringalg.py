@@ -348,16 +348,6 @@ class Echelon:
         for v in vectors:
             self.add(v)
 
-    def reduce(self, v: int) -> int:
-        piv = self.pivots
-        while v:
-            p = (v & -v).bit_length() - 1
-            row = piv.get(p)
-            if row is None:
-                return v
-            v ^= row
-        return 0
-
     def reduce_tagged(self, v: int, tag: int = 0) -> Tuple[int, int]:
         """Reduce v, and XOR the tags of the rows used into tag."""
         piv, tags = self.pivots, self.tags
@@ -373,10 +363,7 @@ class Echelon:
     def add(self, v: int, tag: int = 0) -> int:
         """Reduce v; if independent, insert it with its reduced tag and
         return the reduced vector, else return 0."""
-        if tag or self.tags:
-            v, tag = self.reduce_tagged(v, tag)
-        else:
-            v = self.reduce(v)
+        v, tag = self.reduce_tagged(v, tag)
         if v:
             p = (v & -v).bit_length() - 1
             self.pivots[p] = v
@@ -391,6 +378,9 @@ class Echelon:
         if v:
             raise LiftFailure("vector not in the tracked span")
         return tag
+
+    def reduce(self, v: int) -> int:
+        return self.reduce_tagged(v)[0]
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0

@@ -75,13 +75,14 @@ class FilteredComplex:
         self.levels = {i: list(v) for i, v in levels.items()}
         self.quantum = quantum
         for i, dim in self.dims.items():
-            if i not in self.levels or len(self.levels[i]) != dim:
+            if len(self.levels.get(i, ())) != dim:
                 raise FiltrationViolation(f"levels missing at degree {i}")
         for i, cols in self.d.items():
-            lv_in = self.levels[i] if i in self.dims else []
-            lv_out = self.levels[i + 1] if i + 1 in self.dims else []
-            if len(cols) != len(lv_in) or any(v >> len(lv_out) for v in cols):
+            if (len(cols) != self.dims.get(i, 0)
+                    or any(v >> self.dims.get(i + 1, 0) for v in cols)):
                 raise FiltrationViolation(f"matrix shape mismatch at degree {i}")
+            lv_in = self.levels.get(i, [])
+            lv_out = self.levels.get(i + 1, [])
             above = {lv: _above(lv_out, lv) for lv in set(lv_in)}
             for c, v in enumerate(cols):
                 bad = v & above[lv_in[c]]
@@ -108,12 +109,12 @@ class FilteredComplex:
         d[i], with only the rows above floor kept."""
         if i not in self.dims:
             return []
-        lv = self.levels[i]
+        lv = self.levels.get(i, [])
         if i not in self.d:
             return [1 << c for c in range(len(lv)) if lv[c] <= p]
         mask = -1
         if floor is not None and i + 1 in self.dims:
-            mask = _above(self.levels[i + 1], floor)
+            mask = _above(self.levels.get(i + 1, []), floor)
         return kernel((c, v & mask) for c, v in enumerate(self.d[i])
                       if lv[c] <= p)[0]
 
@@ -215,7 +216,7 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
             break
     for r in range(len(pages) - 1):
         for key, dim in pages[r + 1].items():
-            if key not in pages[r] or dim > pages[r][key]:
+            if dim > pages[r].get(key, 0):
                 raise AssertionError(f"page dimensions grew at {key}, r={r + 1}")
     return PageTable(pages, r_stab, depth, quantum=F.quantum)
 
@@ -266,7 +267,7 @@ def verify_einfty_gr(F: FilteredComplex, M: ModuleDecomp,
                 mismatches.append(((p, i - p), got, gr))
         if F.quantum is not None:
             total = prev
-            want = mdims.pop((i, F.quantum), 0)
+            want = mdims.get((i, F.quantum), 0)
             checked += 1
             if total != want:
                 mismatches.append((("total", i, F.quantum), total, want))

@@ -39,6 +39,14 @@ def test_zero_differential_stabilizes_immediately():
     assert P.einfty() == {(0, 0): 1, (1, -1): 2}
 
 
+def test_empty_degree_needs_no_levels():
+    # a degree of dimension 0 may omit its levels entry
+    F = FilteredComplex(dims={0: 2, 1: 0}, d={0: [0, 0]}, levels={0: [0, 1]})
+    P = filtration_pages(F)
+    assert P.page_total(0) == 2
+    assert P.einfty() == {(0, 0): 1, (1, -1): 1}
+
+
 def test_level_raising_rejected():
     with pytest.raises(FiltrationViolation):
         FilteredComplex(dims={0: 1, 1: 1}, d={0: [0b1]},
