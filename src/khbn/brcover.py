@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .khcube import Generator, BasepointMissing, verify_d_squared, apply_edge_map, MINUS, PLUS
+from .khcube import (Generator, BasepointMissing, InhomogeneousEntry,
+                     verify_d_squared, apply_edge_map, _u_slices, MINUS, PLUS)
 from .linkdiag import (Diagram, EdgeTransition, Merge, Split, _arc_positions,
                        _transition, resolve)
 from .ringalg import RingElem, SparseMat
@@ -129,19 +130,22 @@ class E1Complex:
     """Total complex of the model, graded by raw cube weight.
 
     Quacks like khcube.GradedComplex enough for the homology machinery:
-    k, degrees(), generators, d(), bidegree().
+    degrees(), generators, d(), bidegree(), and the slices of d, which the
+    constructor reads off the entries (khcube._u_slices).
     """
 
-    __slots__ = ("D", "k", "basepoint", "vertices", "generators",
-                 "differential")
+    __slots__ = ("D", "basepoint", "vertices", "generators", "differential",
+                 "slices")
 
     def __init__(self, D, basepoint, vertices, generators, differential):
         self.D = D
-        self.k = 2
         self.basepoint = basepoint
         self.vertices: Dict[Tuple[int, ...], VertexGroup] = vertices
         self.generators: Dict[int, List[BrGen]] = generators
         self.differential: Dict[int, SparseMat] = differential
+        self.slices = _u_slices(
+            {w: [self.bidegree(g)[1] for g in gens]
+             for w, gens in generators.items()}, differential)
 
     def degrees(self) -> List[int]:
         return sorted(self.generators)
@@ -151,7 +155,7 @@ class E1Complex:
 
     def d(self, w: int) -> SparseMat:
         return self.differential.get(
-            w, SparseMat(self.rank(w + 1), self.rank(w), self.k))
+            w, SparseMat(self.rank(w + 1), self.rank(w), 2))
 
     def bidegree(self, g: BrGen, qpow: int = 0) -> Tuple[int, int]:
         V = self.vertices[g.state]
@@ -308,7 +312,7 @@ def _cube(D: Diagram, bp: int):
 def _assemble(D: Diagram, bp: int, vertices: Dict[Tuple[int, ...], VertexGroup],
               edges) -> E1Complex:
     """The model's total complex from its vertex groups and an iterable of
-    (transition, edge matrix); asserts d^2 = 0."""
+    (transition, edge matrix); asserts d^2 = 0 over F2[Q]/Q^2."""
     generators: Dict[int, List[BrGen]] = {}
     for s, V in vertices.items():
         bucket = generators.setdefault(sum(s), [])
@@ -329,7 +333,7 @@ def _assemble(D: Diagram, bp: int, vertices: Dict[Tuple[int, ...], VertexGroup],
         for (r_, c_), e in emap.entries.items():
             mat.add_to(row0 + r_, col0 + c_, e)
     C = E1Complex(D, bp, vertices, generators, differential)
-    report = verify_d_squared(C)
+    report = verify_d_squared(C, order=2)
     if not report.passed:
         raise DSquaredFailure(f"model differential fails d^2=0: {report.failures}")
     return C
@@ -384,7 +388,7 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
         decompositions after re-indexing the cube side by raw weight
         (i + n_minus).
     """
-    from .homology import bigraded_homology, InhomogeneousEntry, ModuleDecomp
+    from .homology import bigraded_homology, ModuleDecomp
     from .khcube import build_complex
 
     bp = basepoint if basepoint is not None else D.basepoint_arc
@@ -417,15 +421,15 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
                 chain_failures.append((t.from_state, c))
             yield t, model
 
-    E1 = _assemble(D, bp, vertices, compared())
     try:
-        M_model = bigraded_homology(E1)
+        E1 = _assemble(D, bp, vertices, compared())
     except InhomogeneousEntry as e:
         # a broken model map need not respect the grading; no module to compare
         return TheoremReport(False, edges, chain_failures, [(None, str(e), None)],
                              None, None)
-    C = build_complex(D, 2, reduced=True, basepoint=bp, force=True)
-    M_bn = bigraded_homology(C)
+    M_model = bigraded_homology(E1, 2)
+    C = build_complex(D, reduced=True, basepoint=bp, force=True)
+    M_bn = bigraded_homology(C, 2)
     shift = ModuleDecomp(2, {(i + D.n_minus, j): dict(m)
                              for (i, j), m in M_bn.table.items()})
     module_failures = []

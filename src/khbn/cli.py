@@ -311,11 +311,11 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
                     raise ResourceLimit(f"{D.n} crossings")
                 C = build_e1_complex(D, bp)
             else:
-                C = build_complex(D, k, reduced=reduced, basepoint=bp, force=force)
+                C = build_complex(D, reduced=reduced, basepoint=bp, force=force)
         except ResourceLimit as e:
             click.echo(f"refused: {e}; rerun with --force", err=True)
             sys.exit(3)
-        decomp = bigraded_homology(C)
+        decomp = bigraded_homology(C, k)
         report = _invariant_report(D, invariant, k, reduced, bp, decomp)
         click.echo(f"computed in {time.perf_counter() - t0:.3f}s", err=True)
         if cache_path:
@@ -333,7 +333,7 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
 # ---------------------------------------------------------------- verify --
 
 def _check_euler(D: Diagram, k: int) -> Tuple[bool, str]:
-    M = bigraded_homology(build_complex(D, k, force=True))
+    M = bigraded_homology(build_complex(D, force=True), k)
     chi = euler_characteristic(M)
     expect = kauffman_jones(D) * Laurent({-2 * s: 1 for s in range(k)})
     if chi == expect:
@@ -349,9 +349,9 @@ def _check_triangle(D: Diagram, reduced: bool, bp: Optional[int]) -> Tuple[bool,
 
 
 def _check_splitting(D: Diagram, k: int) -> Tuple[bool, str]:
-    un = bigraded_homology(build_complex(D, k, force=True))
+    un = bigraded_homology(build_complex(D, force=True), k)
     red = bigraded_homology(build_complex(
-        D, k, reduced=True, basepoint=D.arcs[0], force=True))
+        D, reduced=True, basepoint=D.arcs[0], force=True), k)
     lhs = un.f2_dimensions()
     rhs: Dict[Tuple[int, int], int] = {}
     for (i, j), d in red.f2_dimensions().items():
@@ -376,10 +376,10 @@ def _sample_arcs(D: Diagram, limit: int = 8) -> List[int]:
 def _check_basepoint(D: Diagram, k: int) -> Tuple[bool, str]:
     arcs = _sample_arcs(D)
     first = bigraded_homology(build_complex(
-        D, k, reduced=True, basepoint=arcs[0], force=True))
+        D, reduced=True, basepoint=arcs[0], force=True), k)
     for a in arcs[1:]:
         other = bigraded_homology(build_complex(
-            D, k, reduced=True, basepoint=a, force=True))
+            D, reduced=True, basepoint=a, force=True), k)
         if other != first:
             return False, f"arc {arcs[0]} and arc {a} give different answers"
     return True, f"{len(arcs)} arcs agree"
@@ -396,9 +396,9 @@ def _check_brcover(D: Diagram, bp: int) -> Tuple[bool, str]:
 
 def _check_sseq(D: Diagram, k: int, reduced: bool,
                 bp: Optional[int]) -> Tuple[bool, str]:
-    C = build_complex(D, k, reduced=reduced, basepoint=bp, force=True)
-    M = bigraded_homology(C)
-    for j, F in sorted(u_adic_filtration(C).items()):
+    C = build_complex(D, reduced=reduced, basepoint=bp, force=True)
+    M = bigraded_homology(C, k)
+    for j, F in sorted(u_adic_filtration(C, k).items()):
         rep = verify_einfty_gr(F, M)
         if not rep.passed:
             return False, f"E_inf != gr at quantum {j}: {rep.mismatches[0]}"
@@ -411,7 +411,7 @@ def _check_reidemeister(pair: Tuple[str, str], k: int, reduced: bool) -> Tuple[b
         D = _load_entry(nm)
         bp = D.arcs[0] if reduced else None
         decomps.append(bigraded_homology(
-            build_complex(D, k, reduced=reduced, basepoint=bp, force=True)))
+            build_complex(D, reduced=reduced, basepoint=bp, force=True), k))
     if decomps[0] == decomps[1]:
         return True, "same module decomposition"
     only = sorted(set(decomps[0].table) ^ set(decomps[1].table))
@@ -463,6 +463,12 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
     """Run one structural check; exit 1 with a counterexample on failure."""
     if k < 1:
         raise click.UsageError("--k must be a positive integer")
+    # the checks that read a marked arc; every other one refuses --basepoint
+    pointed = check == "brcover" or (reduced and check in ("triangle", "sseq"))
+    if basepoint is not None and not pointed:
+        if check in ("triangle", "sseq"):
+            raise click.UsageError("--basepoint only makes sense with --reduced")
+        raise click.UsageError(f"--basepoint does not apply to verify {check}")
 
     if check == "reidemeister":
         if pd or braid:
@@ -488,8 +494,7 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
         _finish(len(pairs), failures)
         return
 
-    # the marked arc of each diagram, checked here and not in a worker
-    pointed = check == "brcover" or (reduced and check in ("triangle", "sseq"))
+    # the marked arc of each diagram is checked here and not in a worker
     if all_table:
         if pd or braid or name:
             raise click.UsageError("--all-table excludes --pd/--braid/--name")
@@ -549,19 +554,21 @@ def sseq_cmd(pd, braid, strands, name, k, reduced, basepoint, force) -> None:
     """Dump E_0..E_stab of the u-adic filtration, one block per quantum degree."""
     if k < 1:
         raise click.UsageError("--k must be a positive integer")
+    if basepoint is not None and not reduced:
+        raise click.UsageError("--basepoint only makes sense with --reduced")
     D = _resolve_diagram(pd, braid, strands, name)
     bp = _default_basepoint(D, basepoint) if reduced else None
     try:
-        C = build_complex(D, k, reduced=reduced, basepoint=bp, force=force)
+        C = build_complex(D, reduced=reduced, basepoint=bp, force=force)
     except ResourceLimit as e:
         click.echo(f"refused: {e}; rerun with --force", err=True)
         sys.exit(3)
-    M = bigraded_homology(C)
+    M = bigraded_homology(C, k)
     flavour = "reduced" if reduced else "unreduced"
     click.echo(f"pd: {render(D)}")
     click.echo(f"filtration of the k={k} complex, {flavour}")
     all_ok = True
-    for j, F in sorted(u_adic_filtration(C).items()):
+    for j, F in sorted(u_adic_filtration(C, k).items()):
         table = filtration_pages(F)
         click.echo(f"quantum {j}: stabilizes at r={table.r_stab},"
                    f" E_inf total {table.page_total(len(table.pages) - 1)}")

@@ -7,12 +7,12 @@ is the Rees module of its u = 1 specialisation, filtered by quantum degree,
 and its cyclic decomposition is a persistence barcode (Turner,
 arXiv:math/0411225; Zomorodian-Carlsson, DCG 2005).  One column reduction
 at u = 1 pairs the generators, and the towers of F2[u]/u^k are read off the
-pairs and the unpaired generators.
+pairs and the unpaired generators for any k, from one build.
 
-The exact triangle is checked on its own, on one k = 2 build.  d is read
-once and split into its u^0 part d0 and its u^1 part d1, quantum slice by
-quantum slice.  The Khovanov complex is d0 on each slice, and BN2 at (i, j)
-is the two-layer slice S(i, j) + u S(i, j+2).  Explicit cycle
+The exact triangle is checked on its own, on one build, read as the
+slices of d that khcube keeps: its u^0 part d0 and its u^1 part d1, quantum
+slice by quantum slice.  The Khovanov complex is d0 on each slice, and BN2
+at (i, j) is the two-layer slice S(i, j) + u S(i, j+2).  Explicit cycle
 representatives carry the maps of the triangle: u is a bit shift, setting
 u = 0 a bit mask, and the connecting map applies d1.  The kernels, and the
 class of a cycle in its representatives, come from tagged ringalg.Echelon
@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .laurent import Laurent
 from .linkdiag import Diagram
-from .khcube import GradedComplex, build_complex
-from .ringalg import Echelon, F2Mat, LiftFailure, f2_rank, kernel
+from .khcube import GradedComplex, InhomogeneousEntry, build_complex
+from .ringalg import (Echelon, F2Mat, LiftFailure, _apply, _bits, f2_rank,
+                      kernel)
 
 __all__ = [
     "ModuleDecomp",
@@ -38,11 +39,6 @@ __all__ = [
     "LiftFailure",
     "InhomogeneousEntry",
 ]
-
-
-class InhomogeneousEntry(AssertionError):
-    """An entry of d is not the single power of u that the quantum
-    degrees of its two generators fix."""
 
 
 class ModuleDecomp:
@@ -110,70 +106,51 @@ class ModuleDecomp:
         return "ModuleDecomp(" + ", ".join(parts) + ")"
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def _apply(cols: List[int], x: int) -> int:
-    """The F2 matrix with these columns applied to the vector x."""
-    out = 0
-    for c in _bits(x):
-        out ^= cols[c]
-    return out
-
-
 def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
                                         List[Tuple[int, int, int]]]:
     """Persistence pairing of C at u = 1, filtered by quantum degree.
 
     In each degree the generators are ordered by quantum degree, highest
-    first, and the columns of d are reduced left to right; the low of a
-    column is its lowest-quantum row.  Returns the unpaired generators as
-    (i, q) and the pairs as (i, q_x, q_y): x at (i, q_x) with d x = u^a y
-    over F2[u] after the reduction, y at (i+1, q_y), a = (q_y - q_x)/2.
-    Asserts that every entry of d is exactly u^a for its two generators.
-    At k = 1 the u-entries are truncated away, and the pairing is that of
-    the Khovanov complex over F2.
+    first (slice by slice), and the columns of d are reduced left to right;
+    the low of a column is its lowest-quantum row.  Returns the unpaired
+    generators as (i, q) and the pairs as (i, q_x, q_y): x at (i, q_x) with
+    d x = u^a y over F2[u] after the reduction, y at (i+1, q_y),
+    a = (q_y - q_x)/2.
     """
+    size, cols = C.slices
+    keys = sorted(size, key=lambda key: (key[0], -key[1]))
+    offset: Dict[Tuple[int, int], int] = {}  # slice -> its first position
     quantum: Dict[int, List[int]] = {}  # per degree, in filtration order
-    where: Dict[int, Dict[int, int]] = {}  # generator index -> filtration position
-    for i in C.degrees():
-        qs = [C.bidegree(g)[1] for g in C.generators[i]]
-        order = sorted(range(len(qs)), key=lambda n: -qs[n])
-        quantum[i] = [qs[n] for n in order]
-        where[i] = {n: pos for pos, n in enumerate(order)}
+    for i, j in keys:
+        qs = quantum.setdefault(i, [])
+        offset[(i, j)] = len(qs)
+        qs += [j] * size[(i, j)]
     paired: Dict[int, set] = {i: set() for i in quantum}
+    owners: Dict[int, Dict[int, int]] = {i: {} for i in quantum}
     pairs: List[Tuple[int, int, int]] = []
-    for i in C.degrees():
-        cols = [0] * len(quantum[i])
-        for (h, g), e in C.d(i).entries.items():
-            x, y = where[i][g], where[i + 1][h]
-            a, odd = divmod(quantum[i + 1][y] - quantum[i][x], 2)
-            if odd or a < 0 or e.bits != 1 << a:
-                raise InhomogeneousEntry(
-                    f"d entry {e!r} at degree {i} is not u^(dq/2)")
-            cols[x] |= 1 << y
-        owner: Dict[int, int] = {}  # low -> reduced column with that low
-        for x, col in enumerate(cols):
+    for i, j in keys:
+        owner = owners[i]  # low -> reduced column with that low
+        at0 = offset.get((i + 1, j), 0)
+        at1 = offset.get((i + 1, j + 2), 0)
+        for s, (d0, d1) in enumerate(zip(*cols[(i, j)])):
+            col = d0 << at0 | d1 << at1
             while col:
                 low = col.bit_length() - 1
                 if low not in owner:
                     owner[low] = col
-                    pairs.append((i, quantum[i][x], quantum[i + 1][low]))
-                    paired[i].add(x)
+                    pairs.append((i, j, quantum[i + 1][low]))
+                    paired[i].add(offset[(i, j)] + s)
                     paired[i + 1].add(low)
                     break
                 col ^= owner[low]
-    free = [(i, q) for i in C.degrees() for pos, q in enumerate(quantum[i])
-            if pos not in paired[i]]
+    free = [(i, q) for i, qs in sorted(quantum.items())
+            for pos, q in enumerate(qs) if pos not in paired[i]]
     return free, pairs
 
 
-def bigraded_homology(C: GradedComplex) -> ModuleDecomp:
-    """Homology of C as multiplicities of cyclic u-towers per bidegree.
+def bigraded_homology(C: GradedComplex, k: int) -> ModuleDecomp:
+    """Homology of C over F2[u]/u^k as multiplicities of cyclic u-towers
+    per bidegree.
 
     Read off the barcode at truncation order k: an unpaired generator at
     (i, q) is a tower of length k topped there; a pair (i, q_x, q_y) with
@@ -181,7 +158,8 @@ def bigraded_homology(C: GradedComplex) -> ModuleDecomp:
     (i+1, q_y) and at (i, q_x - 2 max(k - a, 0)); a pair with a = 0 gives
     nothing.
     """
-    k = C.k
+    if k < 1:
+        raise ValueError("truncation order k must be >= 1")
     free, pairs = _barcode(C)
     table: Dict[Tuple[int, int], Dict[int, int]] = {}
 
@@ -208,38 +186,7 @@ def euler_characteristic(M: ModuleDecomp) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# the u^0 and u^1 parts of d, quantum slice by quantum slice
-
-def _u_slices(C: GradedComplex):
-    """d read once and split into its u^0 part d0 and its u^1 part d1.
-
-    S(i, j) lists the generators of degree i at quantum j, in generator
-    order.  Returns size[(i, j)] = |S(i, j)| and cols[(i, j)] = (d0, d1),
-    where d0[s] and d1[s] are the images of the s-th generator of S(i, j)
-    as bitmasks over the positions of S(i+1, j) and of S(i+1, j+2).  Every
-    entry of the cube's d is u^0 or u^1, as its two quantum degrees fix;
-    any other entry raises InhomogeneousEntry.
-    """
-    slot: Dict[int, List[Tuple[int, int]]] = {}  # generator -> (j, position)
-    size: Dict[Tuple[int, int], int] = {}
-    for i in C.degrees():
-        slot[i] = []
-        for g in C.generators[i]:
-            j = C.bidegree(g)[1]
-            s = size.get((i, j), 0)
-            size[(i, j)] = s + 1
-            slot[i].append((j, s))
-    cols = {key: ([0] * n, [0] * n) for key, n in size.items()}
-    for i in C.degrees():
-        for (h, g), e in C.d(i).entries.items():
-            j, s = slot[i][g]
-            jh, r = slot[i + 1][h]
-            if jh - j not in (0, 2) or e.bits != 1 << (jh - j) // 2:
-                raise InhomogeneousEntry(
-                    f"d entry {e!r} at degree {i} is not u^0 or u^1 = u^(dq/2)")
-            cols[(i, j)][(jh - j) // 2][s] |= 1 << r
-    return size, cols
-
+# the u^0 and u^1 parts of d, quantum slice by quantum slice (khcube._u_slices)
 
 def _layers(size, i: int, j: int, k: int) -> List[int]:
     """|S(i, j+2p)| for the layers p = 0..k-1 of the k-layer slice at (i, j)."""
@@ -324,14 +271,12 @@ def _delta(size, cols, kh) -> Dict[Tuple[int, int], F2Mat]:
     return out
 
 
-def connecting_map(C2: GradedComplex) -> Dict[Tuple[int, int], F2Mat]:
+def connecting_map(C: GradedComplex) -> Dict[Tuple[int, int], F2Mat]:
     """Bockstein-type map Kh^{i,j} -> Kh^{i+1,j+2} of the u-coefficient
-    sequence, read off the k = 2 complex alone: Khovanov homology is the
-    homology of its u^0 part d0, and delta applies its u^1 part d1 to
-    d0-cycles (see _delta)."""
-    if C2.k != 2:
-        raise ValueError("connecting map defined for k=2 complexes")
-    size, cols = _u_slices(C2)
+    sequence, read off the slices of C: Khovanov homology is the homology
+    of its u^0 part d0, and delta applies its u^1 part d1 to d0-cycles
+    (see _delta)."""
+    size, cols = C.slices
     return _delta(size, cols, _slice_homology(size, cols, 1))
 
 
@@ -340,14 +285,13 @@ def verify_triangle(D: Diagram, reduced: bool = False,
     """Exactness of ... -> Kh^{i,j+2} -u-> BN2^{i,j} -> Kh^{i,j} -> Kh^{i+1,j+2} -> ...
 
     built from the chain-level sequence 0 -> C1{2} -u-> C2 -> C1 -> 0 on
-    one k = 2 build, split into d0 and d1 per quantum slice: Kh is the
-    homology of the 1-layer slices and BN2 that of the 2-layer slices.  u
+    one build, split into d0 and d1 per quantum slice: Kh is the homology
+    of the 1-layer slices and BN2 that of the 2-layer slices.  u
     shifts a cycle of S(i, j+2) into layer 1 of the slice at (i, j), the
     projection keeps layer 0, and delta applies d1.  Checked node by node
     as explicit matrices, not just dimensions.
     """
-    C2 = build_complex(D, 2, reduced, basepoint, force=True)
-    size, cols = _u_slices(C2)
+    size, cols = build_complex(D, reduced, basepoint, force=True).slices
     kh = _slice_homology(size, cols, 1)
     bn = _slice_homology(size, cols, 2)
     delta = _delta(size, cols, kh)

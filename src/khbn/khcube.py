@@ -1,13 +1,13 @@
-"""The cube of resolutions and its chain complex over F2[u]/u^k.
+"""The cube of resolutions and its chain complex over F2[u].
 
 Circles of each resolution carry v_plus or v_minus; the edge maps are
 
     merge: (v+,v+) -> v+   (v+,v-) -> v-   (v-,v+) -> v-   (v-,v-) -> u v-
     split: v+ -> v+ v- + v- v+ + u v+ v+   v- -> v- v-
 
-At k=1 the u terms die and this is the Khovanov complex.  Gradings:
-i = |state| - n_minus and j = (#plus - #minus) - 2 u_power + |state|
-+ n_plus - 2 n_minus, so u has bidegree (0,-2) in (i,j) order.
+At u = 0 this is the Khovanov complex.  Gradings: i = |state| - n_minus
+and j = (#plus - #minus) - 2 u_power + |state| + n_plus - 2 n_minus, so u
+has bidegree (0,-2) in (i,j) order.
 
 The reduced complex is the quotient killing every generator whose pointed
 circle carries v_minus; that span is a subcomplex, which the builder
@@ -16,10 +16,14 @@ asserts rather than assumes.
 build_complex resolves each of the 2^n states once.  A generator is a
 state plus a label bitmask, and each edge's merge or split comes from the
 resolutions at its two ends (linkdiag._classify_edge), so no edge resolves
-anything again.  Each entry of d is written once.  d^2 = 0 is checked on
-every build as two facts: d^2 = 0 over F2 on the untruncated columns at
-u = 1, and every entry equal to u^((q_h - q_g)/2).  Together they give
-d^2 = 0 over F2[u], hence at every k.
+anything again.  Each entry of d is written once, untruncated: every entry
+is u^0 or u^1, as the quantum degrees of its two generators fix, so one
+build is the complex over F2[u] and the truncation order k is an argument
+of the read-offs (homology.bigraded_homology, sseq.u_adic_filtration).
+At assembly d is read once into its u^0 part d0 and its u^1 part d1,
+quantum slice by quantum slice (_u_slices), and every read-off and the
+d^2 check use these slices.  d^2 = 0 is checked on every build over F2[u]:
+d0 d0 = 0, d0 d1 + d1 d0 = 0 and d1 d1 = 0, hence d^2 = 0 at every k.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linkdiag import (Diagram, Merge, Split, _arc_positions, _classify_edge,
                        resolve)
-from .ringalg import RingElem, SparseMat
+from .ringalg import RingElem, SparseMat, _apply
 
 __all__ = [
     "Generator",
@@ -37,6 +41,7 @@ __all__ = [
     "build_complex",
     "verify_d_squared",
     "BasepointMissing",
+    "InhomogeneousEntry",
     "SubcomplexViolation",
     "ResourceLimit",
 ]
@@ -55,6 +60,11 @@ class SubcomplexViolation(AssertionError):
 
 class ResourceLimit(RuntimeError):
     pass
+
+
+class InhomogeneousEntry(AssertionError):
+    """An entry of d is not the single power of u that the quantum
+    degrees of its two generators fix."""
 
 
 class Generator:
@@ -86,20 +96,26 @@ class Generator:
 
 
 class GradedComplex:
-    """Chain complex of free F2[u]/u^k modules indexed by homological degree."""
+    """Chain complex of free F2[u] modules indexed by homological degree.
 
-    __slots__ = ("D", "k", "reduced", "basepoint", "generators", "differential",
-                 "circle_ids")
+    generators and differential record the basis and d entry by entry, as
+    RingElems of F2[u]/u^2, which holds the entries u^0 and u^1 exactly.
+    slices = (size, cols) is d as _u_slices splits it; every read-off uses
+    the slices.
+    """
 
-    def __init__(self, D, k, reduced, basepoint, generators, differential,
-                 circle_ids):
+    __slots__ = ("D", "reduced", "basepoint", "generators", "differential",
+                 "circle_ids", "slices")
+
+    def __init__(self, D, reduced, basepoint, generators, differential,
+                 circle_ids, slices):
         self.D = D
-        self.k = k
         self.reduced = reduced
         self.basepoint = basepoint
         self.generators: Dict[int, List[Generator]] = generators
         self.differential: Dict[int, SparseMat] = differential
         self.circle_ids: Dict[Tuple[int, ...], Tuple[int, ...]] = circle_ids
+        self.slices = slices
 
     def degrees(self) -> List[int]:
         return sorted(self.generators)
@@ -118,7 +134,7 @@ class GradedComplex:
 
     def d(self, i: int) -> SparseMat:
         return self.differential.get(
-            i, SparseMat(self.rank(i + 1), self.rank(i), self.k))
+            i, SparseMat(self.rank(i + 1), self.rank(i), 2))
 
 
 def apply_edge_map(kind, labeling: Dict[int, int], k: int,
@@ -184,17 +200,16 @@ def _edge_images(merge: bool, src, dst, bystanders,
     return [(base | db, 0), (base | da, 0), (base, 1)]
 
 
-def build_complex(D: Diagram, k: int, reduced: bool = False,
+def build_complex(D: Diagram, reduced: bool = False,
                   basepoint: Optional[int] = None,
                   force: bool = False) -> GradedComplex:
-    """Assemble the full complex; asserts d*d = 0 before returning.
+    """Assemble the full complex over F2[u]; asserts d*d = 0 before
+    returning.
 
     Each state is resolved once; a generator is built as (state, label
     bitmask), and every edge map is read off the two resolutions of its
     ends.  Above 14 crossings the cube is refused unless force is set.
     """
-    if k < 1:
-        raise ValueError("truncation order k must be >= 1")
     if D.n > 14 and not force:
         raise ResourceLimit(
             f"{D.n} crossings: the full cube has {1 << D.n} vertices;"
@@ -238,16 +253,11 @@ def build_complex(D: Diagram, k: int, reduced: bool = False,
             qs.append(c - 2 * sum(lab) + w + q_shift)
 
     differential: Dict[int, SparseMat] = {
-        i: SparseMat(len(generators.get(i + 1, ())), len(gens), k)
+        i: SparseMat(len(generators.get(i + 1, ())), len(gens), 2)
         for i, gens in generators.items()}
-    # the untruncated columns at u = 1, split by the power of u of the entry
-    cols = {i: ([0] * len(gens), [0] * len(gens))
-            for i, gens in generators.items()}
-    elem = [RingElem.u_power(k, p) for p in range(min(k, 2))]
+    elem = (RingElem.one(2), RingElem.u_power(2, 1))
     for b, s in enumerate(states):
-        i = sum(s) - D.n_minus
-        entries = differential[i].entries
-        by_power = cols[i]
+        entries = differential[sum(s) - D.n_minus].entries
         for cr in range(n):
             if s[cr]:
                 continue
@@ -261,78 +271,63 @@ def build_complex(D: Diagram, k: int, reduced: bool = False,
                     if not (m >> pt) & 1:
                         raise SubcomplexViolation(
                             f"killed generator leaks at state {s}, crossing {cr}")
-            # the rows of one edge lie in the block of state t; the columns
-            # are filled a block at a time, shifted to its first row
+            # the rows of one edge lie in the block of state t
             row0, rows = first[t], local[t]
             for mask, off in local[b].items():
                 col = first[b] + off
-                block = [0, 0]
                 for m, p in _edge_images(*edge, mask):
                     if pt is not None and (m >> pt) & 1:
                         continue  # quotient projection: killed terms vanish
-                    r = rows[m]
-                    if ((block[0] | block[1]) >> r) & 1:
+                    key = (row0 + rows[m], col)
+                    if key in entries:
                         raise SubcomplexViolation(
-                            f"entry ({row0 + r}, {col}) of degree {i} written twice")
-                    block[p] |= 1 << r
-                    if p < k:
-                        entries[(row0 + r, col)] = elem[p]
-                for p, part in enumerate(block):
-                    if part:
-                        by_power[p][col] |= part << row0
+                            f"entry {key} of d from state {s} written twice")
+                    entries[key] = elem[p]
 
-    _check_u1(quantum, cols)
-    circle_ids = dict(zip(states, ids))
-    return GradedComplex(D, k, reduced, bp, generators, differential, circle_ids)
+    C = GradedComplex(D, reduced, bp, generators, differential,
+                      dict(zip(states, ids)), _u_slices(quantum, differential))
+    report = verify_d_squared(C)
+    if not report.passed:
+        raise SubcomplexViolation(f"d squared nonzero at {report.failures[0]}")
+    return C
 
 
-def _check_u1(quantum: Dict[int, List[int]],
-              cols: Dict[int, Sequence[List[int]]]) -> None:
-    """d^2 = 0 over F2[u], checked at u = 1 on the untruncated columns.
+def _u_slices(quantum: Dict[int, List[int]],
+              differential: Dict[int, SparseMat]):
+    """d read once and split into its u^0 part d0 and its u^1 part d1.
 
     quantum[i][g] is the quantum degree of generator g of degree i, and
-    cols[i][p][g] the bitmask of the rows of degree i+1 that d meets from g
-    with the entry u^p.  Every entry must be u^((q_h - q_g)/2).  Then every
-    entry of d^2 is a sum of equal powers of u, so d^2 vanishes over F2[u],
-    and at every k, exactly when it vanishes at u = 1.  The truncated
-    matrices would not do: at k = 2 two u-entries compose to a u^2 path that
-    truncation drops, so the parity of a count at u = 1 can be wrong there.
-    Raises SubcomplexViolation naming the first degree that fails.
+    S(i, j) lists the generators of degree i at quantum j, in generator
+    order.  Returns size[(i, j)] = |S(i, j)| and cols[(i, j)] = (d0, d1),
+    where d0[s] and d1[s] are the images of the s-th generator of S(i, j)
+    as bitmasks over the positions of S(i+1, j) and of S(i+1, j+2).  Every
+    entry must be u^0 or u^1, as its two quantum degrees fix; any other
+    entry raises InhomogeneousEntry.
     """
-    at_one: Dict[int, List[int]] = {}
-    for i in sorted(cols):
-        bitsets: Dict[int, bytearray] = {}  # quantum degree -> rows there
-        above = quantum.get(i + 1, ())
-        for h, q in enumerate(above):
-            if q not in bitsets:
-                bitsets[q] = bytearray((len(above) + 7) // 8)
-            bitsets[q][h >> 3] |= 1 << (h & 7)
-        rows_at = {q: int.from_bytes(bs, "little") for q, bs in bitsets.items()}
-        qs = quantum[i]
-        for p, by_gen in enumerate(cols[i]):
-            for g, col in enumerate(by_gen):
-                if col and col & rows_at.get(qs[g] + 2 * p, 0) != col:
-                    raise SubcomplexViolation(
-                        f"d entry u^{p} at degree {i}, generator {g}"
-                        " is not u^(dq/2)")
-        merged = [0] * len(qs)
-        for by_gen in cols[i]:
-            for g, col in enumerate(by_gen):
-                merged[g] |= col
-        at_one[i] = merged
-    for i, by_gen in at_one.items():
-        nxt = at_one.get(i + 1)
-        if nxt is None:
-            continue
-        for g, col in enumerate(by_gen):
-            acc = 0
-            while col:
-                low = col & -col
-                acc ^= nxt[low.bit_length() - 1]
-                col ^= low
-            if acc:
-                raise SubcomplexViolation(
-                    f"d squared nonzero at degree {i}, generator {g}")
+    slot: Dict[int, List[Tuple[int, int]]] = {}  # generator -> (j, position)
+    size: Dict[Tuple[int, int], int] = {}
+    for i, qs in quantum.items():
+        slot[i] = []
+        for j in qs:
+            s = size.get((i, j), 0)
+            size[(i, j)] = s + 1
+            slot[i].append((j, s))
+    cols = {key: ([0] * n, [0] * n) for key, n in size.items()}
+    for i, mat in differential.items():
+        src = [(j, cols[(i, j)], s) for j, s in slot[i]]
+        tgt = [(j, 1 << r) for j, r in slot.get(i + 1, ())]
+        for (h, g), e in mat.entries.items():
+            j, parts, s = src[g]
+            jh, bit = tgt[h]
+            if e.bits != _UNIT_AT.get(jh - j):
+                raise InhomogeneousEntry(
+                    f"d entry {e!r} at degree {i} is not u^0 or u^1 = u^(dq/2)")
+            parts[(jh - j) >> 1][s] |= bit
+    return size, cols
+
+
+# the bits of the entry u^(dq/2) for a quantum step dq of 0 or 2
+_UNIT_AT = {0: 0b01, 2: 0b10}
 
 
 class DSquaredReport:
@@ -346,16 +341,27 @@ class DSquaredReport:
         return f"DSquaredReport(passed={self.passed}, failures={self.failures})"
 
 
-def verify_d_squared(C: GradedComplex) -> DSquaredReport:
-    """Check every consecutive product d_{i+1} d_i = 0; reports offenders
-    by (degree, first nonzero bidegree)."""
+def verify_d_squared(C, order: int = 3) -> DSquaredReport:
+    """d^2 = 0 modulo u^order, on the slices of C.
+
+    With d = d0 + u d1, d^2 = d0 d0 + u (d1 d0 + d0 d1) + u^2 d1 d1, and
+    its three parts map S(i, j) to S(i+2, j), S(i+2, j+2) and S(i+2, j+4).
+    order 3 checks all three, which is d^2 = 0 over F2[u] and so at every
+    k; order 2 checks d^2 = 0 over F2[u]/u^2.  Reports each failing slice
+    as (degree, its bidegree).
+    """
+    size, cols = C.slices
+    # d from S(i, j) into S(i+1, j) + S(i+1, j+2): the u^1 rows sit above
+    # the u^0 rows, so applying it twice stacks the parts of d^2 as layers
+    both = {(i, j): [a | b << size.get((i + 1, j), 0) for a, b in zip(*parts)]
+            for (i, j), parts in cols.items()}
     failures = []
-    for i in C.degrees():
-        if i + 1 not in C.differential:
-            continue
-        prod = C.d(i + 1).mul(C.d(i))
-        if not prod.is_zero():
-            (r, c), _ = next(iter(sorted(prod.entries.items())))
-            g = C.generators[i][c]
-            failures.append((i, C.bidegree(g)))
+    for (i, j), (a0, a1) in sorted(cols.items()):
+        layers = [size.get((i + 2, j + 2 * p), 0) for p in range(order)]
+        mask = (1 << sum(layers)) - 1
+        e0, e1 = both.get((i + 1, j), ()), both.get((i + 1, j + 2), ())
+        for x0, x1 in zip(a0, a1):
+            if (_apply(e0, x0) ^ _apply(e1, x1) << layers[0]) & mask:
+                failures.append((i, (i, j)))
+                break
     return DSquaredReport(not failures, failures)

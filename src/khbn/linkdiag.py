@@ -224,6 +224,7 @@ def _build(quads: Sequence[Tuple[int, int, int, int]],
         if counts.get(x, 0) != 2:
             raise ArcMultiplicityError(
                 f"arc {x} appears {counts.get(x, 0)} times, expected 2")
+    _check_planar(quads)
     over_in = _orient(quads)
     components = _cycles(_succession(quads, over_in))
     quads = _canonical_quads(quads, components)
@@ -233,6 +234,48 @@ def _build(quads: Sequence[Tuple[int, int, int, int]],
     components = _cycles(_succession(quads, over_in))
     signs = [1 if oi == 3 else -1 for oi in over_in]
     return Diagram(quads, signs, over_in, components, basepoint)
+
+
+def _check_planar(quads: Sequence[Tuple[int, int, int, int]]) -> None:
+    """Euler's formula for the projection: V - E + F = 2 on each connected
+    component, with V = n crossings and E = 2n arcs, so F = n + 2 (number
+    of components).  Faces are cycles of crossing corners: the corner
+    between slots i and i+1 continues at the other end of the arc in slot
+    i+1.  A code with fewer faces does not embed in the plane."""
+    n = len(quads)
+    ends: Dict[int, List[Tuple[int, int]]] = {}  # arc -> (crossing, slot) twice
+    for x, q in enumerate(quads):
+        for slot, a in enumerate(q):
+            ends.setdefault(a, []).append((x, slot))
+
+    def across(x: int, slot: int) -> Tuple[int, int]:
+        a, b = ends[quads[x][slot]]
+        return b if a == (x, slot) else a
+
+    seen = set()
+    faces = 0
+    for start in itertools.product(range(n), range(4)):
+        if start in seen:
+            continue
+        faces += 1
+        x, i = start
+        while (x, i) not in seen:
+            seen.add((x, i))
+            x, i = across(x, (i + 1) % 4)
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
+
+    for (x, _), (y, _) in ends.values():
+        root[find(x)] = find(y)
+    components = sum(1 for x in range(n) if find(x) == x)
+    if faces != n + 2 * components:
+        raise NonPlanarOrInconsistentOrientation(
+            f"not planar: {faces} faces, where Euler's formula wants"
+            f" {n + 2 * components}")
 
 
 def _succession(quads, over_in) -> Dict[int, int]:

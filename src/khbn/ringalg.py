@@ -1,7 +1,11 @@
 """Exact arithmetic in F2[u]/u^k and sparse/bit-packed linear algebra over F2.
 
-RingElem and SparseMat hold the cube complex over F2[u]/u^k.  Echelon is
-the package's incremental GF(2) eliminator on bitmask vectors: its rows can
+RingElem and SparseMat record a complex's d entry by entry, over
+F2[u]/u^2, which holds the cube's entries u^0 and u^1 exactly and is the
+cover model's ring F2[Q]/Q^2; the edge maps of the model and of the
+reference assemblies use them too.  A matrix over F2 is a list of
+column bitmasks, which _apply applies to a vector.  Echelon is the
+package's incremental GF(2) eliminator on bitmask vectors: its rows can
 carry tags, so one column reduction gives a kernel (kernel) and coords reads
 quotient coordinates off it.  The spectral-sequence pages, the E_inf = gr
 check and the homology of the exact triangle's slices all run on it.  F2Mat
@@ -322,6 +326,24 @@ def nilpotent_block_multiplicities(N: F2Mat, k: int) -> Dict[int, int]:
         out[j] = m
     if sum(j * m for j, m in out.items()) != d:
         raise AssertionError("block multiplicities do not reconstruct the dimension")
+    return out
+
+
+def _bits(x: int):
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _apply(cols: List[int], x: int) -> int:
+    """The F2 matrix with these columns applied to the vector x."""
+    out = 0
+    while x:
+        low = x & -x
+        out ^= cols[low.bit_length() - 1]
+        x ^= low
     return out
 
 

@@ -9,8 +9,10 @@ of a basis vector).  Pages use the classical subquotients
     Z_r^{p,i} = { x in F_p C^i : dx in F_{p-r} },
 
 so d_r drops the filtration index by r.  For the u-adic filtration of the
-k-truncated cube, level(g, u^p) = k-1-p: the u-free quotient sits on top
-and the page-0 differential is the Khovanov one on each layer.
+cube truncated at u^k, level(g, u^p) = k-1-p: the u-free quotient sits on
+top and the page-0 differential is the Khovanov one on each layer.  k is
+an argument of the read-off, u_adic_filtration(C, k), so one build serves
+every k.
 
 E_infty is the page at depth+1 (the filtration is bounded), and it must
 match the graded pieces of the image filtration on homology; that
@@ -30,8 +32,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .khcube import GradedComplex
-from .homology import ModuleDecomp, _apply, _layer_cols, _layers, _u_slices
-from .ringalg import Echelon, kernel
+from .homology import ModuleDecomp, _layer_cols, _layers
+from .ringalg import Echelon, _apply, kernel
 
 __all__ = [
     "FilteredComplex",
@@ -142,11 +144,13 @@ class PageTable:
                 f" E_inf total={self.page_total(len(self.pages) - 1)})")
 
 
-def u_adic_filtration(C: GradedComplex) -> Dict[int, FilteredComplex]:
-    """One filtered complex per quantum degree j: the k-layer slices at
-    (i, j), with layer p (the elements u^p g) at level k-1-p."""
-    k = C.k
-    size, cols = _u_slices(C)
+def u_adic_filtration(C: GradedComplex, k: int) -> Dict[int, FilteredComplex]:
+    """One filtered complex per quantum degree j of C truncated at u^k: the
+    k-layer slices at (i, j), with layer p (the elements u^p g) at level
+    k-1-p."""
+    if k < 1:
+        raise ValueError("truncation order k must be >= 1")
+    size, cols = C.slices
     js = sorted({j - 2 * p for (_, j) in size for p in range(k)})
     out: Dict[int, FilteredComplex] = {}
     for j in js:

@@ -108,11 +108,11 @@ def test_trefoil_model_homology():
     D = diagram("trefoil_L")
     C = build_e1_complex(D, 1)
     assert verify_d_squared(C).passed
-    M = bigraded_homology(C)
+    M = bigraded_homology(C, 2)
     assert M == ModuleDecomp.from_json(2, {
         "0,-9": {"1": 1}, "1,-5": {"1": 1}, "3,-1": {"2": 1}})
     # same table as the reduced deformation, re-indexed by raw weight
-    B = bigraded_homology(build_complex(D, 2, reduced=True, basepoint=1))
+    B = bigraded_homology(build_complex(D, reduced=True, basepoint=1), 2)
     assert M == ModuleDecomp(2, {(i + D.n_minus, j): dict(m)
                                  for (i, j), m in B.table.items()})
 

@@ -2,6 +2,7 @@ import json
 import time
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import khbn.cli as cli
 
@@ -155,6 +156,51 @@ def test_malformed_inputs_exit_2():
         r = run(*args, "--basepoint", "99")
         assert r.exit_code == 2, (args, r.output)
         assert "arc 99 does not occur in the diagram" in r.output, args
+    # a marked arc where no marked arc is read, as compute refuses one
+    # without --reduced
+    for args in (("sseq", *braid),
+                 ("verify", "euler", *braid),
+                 ("verify", "splitting", *braid),
+                 ("verify", "basepoint", *braid),
+                 ("verify", "triangle", *braid),
+                 ("verify", "sseq", *braid),
+                 ("verify", "euler", "--all-table"),
+                 ("verify", "reidemeister", "--name", "trefoil_L"),
+                 ("verify", "reidemeister", "--all-table", "--reduced")):
+        for arc in ("1", "99"):
+            r = run(*args, "--basepoint", arc)
+            assert r.exit_code == 2, (args, arc, r.output)
+            assert "--basepoint" in r.output, (args, arc)
+
+
+@st.composite
+def pd_codes(draw):
+    """PD[...] with n <= 3 crossings and every label used twice, in any
+    arrangement, planar or not."""
+    n = draw(st.integers(1, 3))
+    labels = draw(st.permutations([a for a in range(1, 2 * n + 1)
+                                   for _ in (0, 1)]))
+    quads = [labels[4 * c:4 * c + 4] for c in range(n)]
+    return ("--pd", "PD[" + ", ".join(
+        "X({},{},{},{})".format(*q) for q in quads) + "]")
+
+
+braid_words = st.tuples(
+    st.lists(st.integers(-4, 4), max_size=6),
+    st.integers(0, 5)).map(lambda ws: (
+        "--braid", ",".join(map(str, ws[0])), "--strands", str(ws[1])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(pd_codes(), braid_words),
+       st.sampled_from([("--invariant", "kh"),
+                        ("--invariant", "bn2", "--reduced"),
+                        ("--invariant", "brcover-e2")]))
+def test_any_diagram_ends_with_an_exit_status(diagram, invariant):
+    r = run("compute", *diagram, *invariant)
+    assert r.exit_code in (0, 2, 3), (diagram, r.output)
+    assert r.exception is None or isinstance(r.exception, SystemExit), \
+        (diagram, repr(r.exception))
 
 
 def test_resource_guard_exit_3():

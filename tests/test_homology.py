@@ -17,8 +17,8 @@ def decomp(name, k, reduced=False, basepoint=None):
     D = parse_pd(load_link_table()[name][0])
     if reduced and basepoint is None:
         basepoint = D.arcs[0]
-    C = build_complex(D, k, reduced=reduced, basepoint=basepoint)
-    return bigraded_homology(C)
+    C = build_complex(D, reduced=reduced, basepoint=basepoint)
+    return bigraded_homology(C, k)
 
 
 def frozen(k, table):
@@ -93,8 +93,9 @@ def test_euler_matches_state_sum():
                  "whitehead", "borromean"):
         D = parse_pd(table[name][0])
         jhat = kauffman_jones(D)
+        C = build_complex(D)
         for k in (1, 2, 3):
-            M = bigraded_homology(build_complex(D, k))
+            M = bigraded_homology(C, k)
             expect = jhat * Laurent({-2 * s: 1 for s in range(k)})
             assert euler_characteristic(M) == expect, (name, k)
 
@@ -107,13 +108,27 @@ def test_dense_reference_agrees():
         D = parse_pd(table[name][0])
         k = rng.choice([1, 2, 3])
         for reduced in (False, True):
-            C = build_complex(D, k, reduced=reduced,
+            C = build_complex(D, reduced=reduced,
                               basepoint=D.arcs[0] if reduced else None)
-            assert bigraded_homology(C) == dense_decomp(C), (name, k, reduced)
+            assert bigraded_homology(C, k) == dense_decomp(C, k), \
+                (name, k, reduced)
     for name in ("trefoil_L", "figure8"):
         D = parse_pd(table[name][0])
         E1 = build_e1_complex(D, D.arcs[0])
-        assert bigraded_homology(E1) == dense_decomp(E1), name
+        assert bigraded_homology(E1, 2) == dense_decomp(E1, 2), name
+
+
+def test_one_build_reads_k4_like_the_dense_reference():
+    # no other test reads k = 4; one build per flavour serves it
+    for name, (pd, _) in sorted(load_link_table().items()):
+        D = parse_pd(pd)
+        if D.n > 6:
+            continue
+        for reduced in (False, True):
+            C = build_complex(D, reduced=reduced,
+                              basepoint=D.arcs[0] if reduced else None)
+            assert bigraded_homology(C, 4) == dense_decomp(C, 4), \
+                (name, reduced)
 
 
 def test_free_generators_count_components():
@@ -121,9 +136,9 @@ def test_free_generators_count_components():
     table = load_link_table()
     for name in sorted(table):
         D = parse_pd(table[name][0])
-        free, _ = _barcode(build_complex(D, 2, force=True))
+        free, _ = _barcode(build_complex(D, force=True))
         assert len(free) == 2 ** D.component_count, name
-        free, _ = _barcode(build_complex(D, 2, reduced=True,
+        free, _ = _barcode(build_complex(D, reduced=True,
                                          basepoint=D.arcs[0], force=True))
         assert len(free) == 2 ** (D.component_count - 1), name
 
@@ -138,7 +153,7 @@ def test_unreduced_splits_as_two_shifted_copies():
 
 def test_basepoint_does_not_matter():
     D = parse_pd(load_link_table()["figure8"][0])
-    got = [bigraded_homology(build_complex(D, 2, reduced=True, basepoint=a))
+    got = [bigraded_homology(build_complex(D, reduced=True, basepoint=a), 2)
            for a in D.arcs]
     assert all(g == got[0] for g in got[1:])
 
@@ -162,7 +177,7 @@ def test_triangle_sees_a_zero_connecting_map(monkeypatch):
 
     D = parse_pd(load_link_table()["trefoil_L"][0])
     assert any(not m.is_zero() for m in homology.connecting_map(
-        build_complex(D, 2)).values())
+        build_complex(D)).values())
     monkeypatch.setattr(homology, "_delta", zero)
     rep = verify_triangle(D)
     assert not rep.passed
@@ -173,16 +188,17 @@ def test_triangle_builds_one_cube(monkeypatch):
     calls = []
     real = homology.build_complex
 
-    def counted(D, k, *args, **kwargs):
-        calls.append(k)
-        return real(D, k, *args, **kwargs)
+    def counted(D, *args, **kwargs):
+        C = real(D, *args, **kwargs)
+        calls.append(C.reduced)
+        return C
 
     monkeypatch.setattr(homology, "build_complex", counted)
     D = parse_pd(load_link_table()["figure8"][0])
     assert verify_triangle(D).passed
-    assert calls == [2]
+    assert calls == [False]
     assert verify_triangle(D, reduced=True, basepoint=D.arcs[0]).passed
-    assert calls == [2, 2]
+    assert calls == [False, True]
 
 
 def test_decomp_roundtrip_and_sum():
@@ -207,7 +223,7 @@ def test_random_closures_euler_identity():
         done += 1
         D = from_braid(word, strands)
         jhat = kauffman_jones(D)
-        M = bigraded_homology(build_complex(D, 2))
+        M = bigraded_homology(build_complex(D), 2)
         assert euler_characteristic(M) == jhat * Laurent({0: 1, -2: 1})
 
 
@@ -215,7 +231,8 @@ def test_golden_decompositions():
     """Every bundled entry, unreduced and reduced at its first arc, k = 1..3,
     and the branched-cover E1 model at the first arc, against
     golden_decomp.json (captured with the rank-of-powers implementation that
-    bigraded_homology had before the barcode reduction)."""
+    bigraded_homology had before the barcode reduction, on one truncated
+    build per k).  Here one build per flavour serves every k."""
     with open(os.path.join(os.path.dirname(__file__), "golden_decomp.json")) as fh:
         golden = json.load(fh)
     table = load_link_table()
@@ -223,10 +240,10 @@ def test_golden_decompositions():
     for name, want in golden.items():
         D = parse_pd(table[name][0])
         arc = D.arcs[0]
-        got = {"e1": bigraded_homology(build_e1_complex(D, arc)).to_json()}
+        got = {"e1": bigraded_homology(build_e1_complex(D, arc), 2).to_json()}
+        full = build_complex(D, force=True)
+        reduced = build_complex(D, reduced=True, basepoint=arc, force=True)
         for k in (1, 2, 3):
-            got[f"k{k}"] = bigraded_homology(
-                build_complex(D, k, force=True)).to_json()
-            got[f"k{k}_reduced"] = bigraded_homology(build_complex(
-                D, k, reduced=True, basepoint=arc, force=True)).to_json()
+            got[f"k{k}"] = bigraded_homology(full, k).to_json()
+            got[f"k{k}_reduced"] = bigraded_homology(reduced, k).to_json()
         assert got == want, name

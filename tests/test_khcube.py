@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,11 +7,12 @@ import khbn.brcover as brcover
 import khbn.khcube as khcube
 import khbn.linkdiag as linkdiag
 from cube_reference import reference_complex
-from khbn.khcube import (BasepointMissing, Generator, MINUS, PLUS,
-                         ResourceLimit, SubcomplexViolation, _check_u1,
+from khbn.khcube import (BasepointMissing, Generator, InhomogeneousEntry,
+                         MINUS, PLUS, ResourceLimit, _u_slices,
                          apply_edge_map, build_complex, verify_d_squared)
 from khbn.linkdiag import (Merge, Split, from_braid, load_link_table,
                            parse_pd, resolve)
+from khbn.ringalg import RingElem, SparseMat
 
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
 
@@ -57,21 +59,20 @@ def test_bystanders_ride_along():
 
 def test_unknot_complexes():
     D = parse_pd("U")
-    for k in (1, 2, 3):
-        C = build_complex(D, k)
-        assert C.degrees() == [0]
-        assert C.rank(0) == 2
-        assert C.d(0).is_zero()
-        R = build_complex(D, k, reduced=True, basepoint=1)
-        assert R.rank(0) == 1
-        [g] = R.generators[0]
-        assert R.bidegree(g) == (0, 1)
-        assert R.bidegree(g, k - 1) == (0, 1 - 2 * (k - 1))
+    C = build_complex(D)
+    assert C.degrees() == [0]
+    assert C.rank(0) == 2
+    assert C.d(0).is_zero()
+    R = build_complex(D, reduced=True, basepoint=1)
+    assert R.rank(0) == 1
+    [g] = R.generators[0]
+    for p in (0, 1, 2):
+        assert R.bidegree(g, p) == (0, 1 - 2 * p)
 
 
 def test_trefoil_gradings_and_ranks():
     D = parse_pd(TREFOIL)
-    C = build_complex(D, 2)
+    C = build_complex(D)
     assert C.degrees() == [-3, -2, -1, 0]
     # rank over the ring: sum over states of 2^(circle count)
     ranks = {i: C.rank(i) for i in C.degrees()}
@@ -80,26 +81,31 @@ def test_trefoil_gradings_and_ranks():
     i, j = C.bidegree(g)
     assert (i, j) == (-3, -3)
     assert C.bidegree(g, 1) == (-3, -5)
-    R = build_complex(D, 2, reduced=True, basepoint=1)
+    R = build_complex(D, reduced=True, basepoint=1)
     assert {i: R.rank(i) for i in R.degrees()} == {-3: 4, -2: 6, -1: 3, 0: 2}
 
 
 def test_differential_is_quantum_homogeneous():
     D = from_braid([1, -2, 1, -2], 3)
-    for k in (1, 2, 3):
-        C = build_complex(D, k)
-        for i in C.degrees():
-            mat = C.d(i)
-            for (h, g), e in mat.entries.items():
-                src_j = C.bidegree(C.generators[i][g])[1]
-                for b in range(k):
-                    if e.coeff(b):
-                        tgt = C.bidegree(C.generators[i + 1][h], b)
-                        assert tgt == (i + 1, src_j)
+    C = build_complex(D)
+    powers = set()
+    for i in C.degrees():
+        mat = C.d(i)
+        for (h, g), e in mat.entries.items():
+            src_j = C.bidegree(C.generators[i][g])[1]
+            [b] = [b for b in range(2) if e.coeff(b)]
+            powers.add(b)
+            tgt = C.bidegree(C.generators[i + 1][h], b)
+            assert tgt == (i + 1, src_j)
+    # the one build keeps the u entries that a k = 1 truncation would drop
+    assert powers == {0, 1}
 
 
 def test_k1_is_k2_without_u():
-    # the exact triangle reads Khovanov homology off the u^0 part of k = 2
+    # the Khovanov complex, which the exact triangle and every k = 1
+    # read-off take from the one build, is its u^0 part: the direct
+    # assembly truncated at k = 1 has the same generators and exactly the
+    # build's u^0 entries
     diagrams = [("braid 1,1,1", from_braid([1, 1, 1], 2))]
     for name, (pd, _) in sorted(load_link_table().items()):
         D = parse_pd(pd)
@@ -107,17 +113,18 @@ def test_k1_is_k2_without_u():
             diagrams.append((name, D))
     for name, D in diagrams:
         for bp in (None, D.arcs[0]):
-            C1 = build_complex(D, 1, reduced=bp is not None, basepoint=bp)
-            C2 = build_complex(D, 2, reduced=bp is not None, basepoint=bp)
-            assert C1.degrees() == C2.degrees(), name
-            for i in C1.degrees():
-                assert [g.sort_key() for g in C1.generators[i]] == \
-                       [g.sort_key() for g in C2.generators[i]], (name, bp)
-                d1, d2 = C1.d(i), C2.d(i)
-                keys = set(d1.entries) | set(d2.entries)
-                for key in keys:
-                    assert d1.get(*key).coeff(0) == d2.get(*key).coeff(0), \
-                        (name, bp, i, key)
+            C = build_complex(D, reduced=bp is not None, basepoint=bp)
+            gens, diff = reference_complex(D, 1, bp is not None, bp)
+            assert {i: [g.sort_key() for g in C.generators[i]]
+                    for i in C.degrees()} == gens, (name, bp)
+            for i, m in C.differential.items():
+                kept = {key: 1 for key, e in m.entries.items() if e.coeff(0)}
+                assert (m.rows, m.cols, kept) == diff[i], (name, bp, i)
+            # the u^0 slices hold the same entries
+            size, cols = C.slices
+            assert sum(bin(x).count("1") for d0, _ in cols.values()
+                       for x in d0) == sum(
+                           len(entries) for _, _, entries in diff.values())
 
 
 def test_d_squared_random_braids():
@@ -131,17 +138,16 @@ def test_d_squared_random_braids():
             continue
         trials += 1
         D = from_braid(word, strands)
-        for k in (1, 2, 3):
-            for reduced in (False, True):
-                C = build_complex(D, k, reduced=reduced,
-                                  basepoint=D.arcs[0] if reduced else None)
-                assert verify_d_squared(C).passed, (word, k, reduced)
+        for reduced in (False, True):
+            C = build_complex(D, reduced=reduced,
+                              basepoint=D.arcs[0] if reduced else None)
+            assert verify_d_squared(C).passed, (word, reduced)
 
 
 def test_reduced_works_at_every_basepoint():
     D = parse_pd(TREFOIL)
     for arc in D.arcs:
-        C = build_complex(D, 2, reduced=True, basepoint=arc)
+        C = build_complex(D, reduced=True, basepoint=arc)
         assert verify_d_squared(C).passed
         assert sum(C.rank(i) for i in C.degrees()) == 15
 
@@ -149,8 +155,8 @@ def test_reduced_works_at_every_basepoint():
 def test_reduced_rank_is_half():
     for name in ("figure8", "hopf_pos", "whitehead"):
         D = parse_pd(load_link_table()[name][0])
-        full = build_complex(D, 2)
-        half = build_complex(D, 2, reduced=True, basepoint=D.arcs[0])
+        full = build_complex(D)
+        half = build_complex(D, reduced=True, basepoint=D.arcs[0])
         for i in full.degrees():
             assert full.rank(i) == 2 * half.rank(i)
 
@@ -158,15 +164,15 @@ def test_reduced_rank_is_half():
 def test_basepoint_must_be_an_arc():
     D = parse_pd(TREFOIL)
     with pytest.raises(BasepointMissing):
-        build_complex(D, 2, reduced=True, basepoint=99)
+        build_complex(D, reduced=True, basepoint=99)
     with pytest.raises(BasepointMissing):
-        build_complex(D, 2, reduced=True)
+        build_complex(D, reduced=True)
 
 
 def test_resource_guard():
     D = from_braid([1] * 15, 2)
     with pytest.raises(ResourceLimit):
-        build_complex(D, 1)
+        build_complex(D)
 
 
 def test_pointed_circle_tracked():
@@ -183,17 +189,17 @@ def test_builder_matches_reference_assembly():
         D = parse_pd(pd)
         if D.n > 7:
             continue
-        for k in (1, 2):
-            for reduced in (False, True):
-                bp = D.arcs[0] if reduced else None
-                C = build_complex(D, k, reduced=reduced, basepoint=bp)
-                got = ({i: [g.sort_key() for g in gens]
-                        for i, gens in C.generators.items()},
-                       {i: (m.rows, m.cols,
-                            {key: e.bits for key, e in m.entries.items()})
-                        for i, m in C.differential.items()})
-                assert got == reference_complex(D, k, reduced, bp), \
-                    (name, k, reduced)
+        for reduced in (False, True):
+            bp = D.arcs[0] if reduced else None
+            C = build_complex(D, reduced=reduced, basepoint=bp)
+            got = ({i: [g.sort_key() for g in gens]
+                    for i, gens in C.generators.items()},
+                   {i: (m.rows, m.cols,
+                        {key: e.bits for key, e in m.entries.items()})
+                    for i, m in C.differential.items()})
+            # every entry is u^0 or u^1, so k = 2 truncates nothing
+            assert got == reference_complex(D, 2, reduced, bp), \
+                (name, reduced)
 
 
 def test_builders_resolve_each_state_once(monkeypatch):
@@ -216,9 +222,9 @@ def test_builders_resolve_each_state_once(monkeypatch):
         monkeypatch.setattr(module, "edge_transition", no_edge_transition,
                             raising=False)
     for D in (parse_pd("U"), parse_pd(TREFOIL), from_braid([1, -2, 1, -2, 3], 4)):
-        for k, reduced in ((1, False), (2, True)):
+        for reduced in (False, True):
             calls["khcube"] = 0
-            build_complex(D, k, reduced=reduced, basepoint=D.arcs[0])
+            build_complex(D, reduced=reduced, basepoint=D.arcs[0])
             assert calls["khcube"] == 1 << D.n
         calls["brcover"] = 0
         brcover.build_e1_complex(D, D.arcs[0])
@@ -229,21 +235,39 @@ def test_builders_resolve_each_state_once(monkeypatch):
         assert calls["khcube"] == 1 << D.n
 
 
-def test_u1_check_fails_loudly():
-    # degrees 0..2, one generator each, all at quantum 0: d1 d0 g = x
-    quantum = {0: [0], 1: [0], 2: [0]}
-    with pytest.raises(SubcomplexViolation, match="d squared nonzero at degree 0"):
-        _check_u1(quantum, {0: ([0b1], [0]), 1: ([0b1], [0]), 2: ([0], [0])})
+def slice_check(quantum, entries, order=3):
+    """verify_d_squared on a hand-made complex: quantum degrees per degree
+    and the entries of d as {degree: {(row, col): u power}}."""
+    differential = {
+        i: SparseMat(len(quantum.get(i + 1, ())), len(qs), 2,
+                     {key: RingElem.u_power(2, p)
+                      for key, p in entries.get(i, {}).items()})
+        for i, qs in quantum.items()}
+    C = SimpleNamespace(slices=_u_slices(quantum, differential))
+    return verify_d_squared(C, order)
+
+
+def test_d_squared_check_fails_loudly():
+    # degrees 0..2, one generator each, all at quantum 0: d0 d0 g = x
+    rep = slice_check({0: [0], 1: [0], 2: [0]}, {0: {(0, 0): 0}, 1: {(0, 0): 0}})
+    assert not rep.passed and rep.failures == [(0, (0, 0))]
     # a square commutes: g -> h1 + h2 -> 2x = 0
-    quantum = {0: [0], 1: [0, 0], 2: [0]}
-    _check_u1(quantum, {0: ([0b11], [0]), 1: ([0b1, 0b1], [0, 0]),
-                        2: ([0], [0])})
-    # two u-entries compose to u^2 x: zero at k = 2 once truncated, but not
-    # zero over F2[u]; the untruncated columns see it
+    assert slice_check({0: [0], 1: [0, 0], 2: [0]},
+                       {0: {(0, 0): 0, (1, 0): 0},
+                        1: {(0, 0): 0, (0, 1): 0}}).passed
+    # two u-entries compose to u^2 x: zero over F2[u]/u^2, as the cover
+    # model is checked, but not over F2[u], as the cube is
     quantum = {1: [0], 2: [2], 3: [4]}
-    with pytest.raises(SubcomplexViolation, match="degree 1"):
-        _check_u1(quantum, {1: ([0], [0b1]), 2: ([0], [0b1]), 3: ([0], [0])})
-    # one entry u^1 between equal quantum degrees breaks homogeneity
-    quantum = {0: [0, 2], 1: [2, 2]}
-    with pytest.raises(SubcomplexViolation, match="at degree 0"):
-        _check_u1(quantum, {0: ([0b00, 0b01], [0b10, 0b10]), 1: ([0, 0], [0, 0])})
+    entries = {1: {(0, 0): 1}, 2: {(0, 0): 1}}
+    rep = slice_check(quantum, entries)
+    assert not rep.passed and rep.failures == [(1, (1, 0))]
+    assert slice_check(quantum, entries, order=2).passed
+    # one entry u^1 between equal quantum degrees breaks homogeneity, and
+    # so does an entry 1 + u; the slice reader refuses both
+    with pytest.raises(InhomogeneousEntry, match="at degree 0"):
+        slice_check({0: [0, 2], 1: [2, 2]},
+                    {0: {(1, 0): 1, (0, 1): 0, (1, 1): 1}})
+    differential = {0: SparseMat(1, 1, 2, {(0, 0): RingElem(2, 0b11)}),
+                    1: SparseMat(0, 1, 2)}
+    with pytest.raises(InhomogeneousEntry):
+        _u_slices({0: [0], 1: [2]}, differential)

@@ -4,7 +4,8 @@ import pytest
 
 from khbn.laurent import Laurent, Q, QINV
 from khbn.linkdiag import (ArcMultiplicityError, Diagram, DiagramError,
-                           LetterOutOfRange, MalformedSyntax, Resolution,
+                           LetterOutOfRange, MalformedSyntax,
+                           NonPlanarOrInconsistentOrientation, Resolution,
                            edge_transition, from_braid, kauffman_jones,
                            load_link_table, mirror, parse_pd, render, resolve)
 
@@ -148,6 +149,16 @@ def test_parse_errors():
         parse_pd("PD[X(1,1,1,2), X(2,3,3,4)]")
     # labels are normalized mod 2n, so X(3,3,4,4) is the kink X(1,1,2,2)
     assert parse_pd("PD[X(3,3,4,4)]") == parse_pd("PD[X(1,1,2,2)]")
+    # a code whose corners close up into too few faces is not planar:
+    # X(1,2,1,2) has one face where a planar crossing has three, and
+    # X(1,2,3,4) reduces to it mod 2n
+    for text in ("PD[X(1,2,1,2)]", "PD[X(1,2,3,4)]",
+                 "PD[X(1,4,2,5), X(3,6,4,1), X(5,3,6,2)]"):
+        with pytest.raises(NonPlanarOrInconsistentOrientation, match="planar"):
+            parse_pd(text)
+    # a projection in two pieces has two outer faces, and is planar
+    assert parse_pd("PD[X(1,1,2,2), X(3,3,4,4)]").n == 2
+    assert from_braid([1, 3], 4).component_count == 2
 
 
 def test_braid_errors():

@@ -65,8 +65,8 @@ def test_shape_mismatch_rejected():
 
 def test_trefoil_u_adic_pages():
     D = parse_pd(load_link_table()["trefoil_L"][0])
-    C = build_complex(D, 2, reduced=True, basepoint=D.arcs[0])
-    filt = u_adic_filtration(C)
+    C = build_complex(D, reduced=True, basepoint=D.arcs[0])
+    filt = u_adic_filtration(C, 2)
     # E_0 of each slice has the full chain dimension of that quantum strip
     flat_dim = sum(F.total_dim() for F in filt.values())
     assert flat_dim == 2 * sum(C.rank(i) for i in C.degrees())
@@ -89,8 +89,8 @@ def test_page_totals_never_grow():
         done += 1
         D = from_braid(word, strands)
         k = rng.choice([2, 3])
-        C = build_complex(D, k)
-        for F in u_adic_filtration(C).values():
+        C = build_complex(D)
+        for F in u_adic_filtration(C, k).values():
             P = filtration_pages(F)
             totals = [P.page_total(r) for r in range(len(P.pages))]
             assert all(a >= b for a, b in zip(totals, totals[1:]))
@@ -101,23 +101,23 @@ def test_einfty_matches_associated_graded():
     table = load_link_table()
     for name in ("trefoil_L", "figure8", "hopf_pos"):
         D = parse_pd(table[name][0])
+        C = build_complex(D)
         for k in (2, 3):
-            C = build_complex(D, k)
-            M = bigraded_homology(C)
-            for F in u_adic_filtration(C).values():
+            M = bigraded_homology(C, k)
+            for F in u_adic_filtration(C, k).values():
                 rep = verify_einfty_gr(F, M)
                 assert rep.passed, (name, k, F.quantum, rep.mismatches)
 
 
 def test_gr_check_detects_corruption():
     D = parse_pd(load_link_table()["trefoil_L"][0])
-    C = build_complex(D, 2)
-    M = bigraded_homology(C)
+    C = build_complex(D)
+    M = bigraded_homology(C, 2)
     bad = M.to_json()
     bad["0,-1"] = {"1": 2}
     wrong = ModuleDecomp.from_json(2, bad)
     reports = [verify_einfty_gr(F, wrong)
-               for F in u_adic_filtration(C).values()]
+               for F in u_adic_filtration(C, 2).values()]
     assert any(not rep.passed for rep in reports)
     failing = [rep for rep in reports if not rep.passed]
     assert all(rep.mismatches for rep in failing)
@@ -128,7 +128,8 @@ def test_golden_pages():
     reduced at k = 2 at its first arc: r_stab and the pages E_0 .. E_r_stab
     of every quantum slice against golden_pages.json (captured with the
     F2Mat row-matrix implementation that filtration_pages had before it
-    read bitmask columns)."""
+    read bitmask columns, on one truncated build per k).  Here one build per
+    flavour serves every k."""
     with open(os.path.join(os.path.dirname(__file__), "golden_pages.json")) as fh:
         golden = json.load(fh)
     table = load_link_table()
@@ -136,14 +137,15 @@ def test_golden_pages():
     assert sorted(golden) == sorted(n for n, D in diagrams.items() if D.n <= 8)
     for name, want in golden.items():
         D = diagrams[name]
-        builds = {"k2": build_complex(D, 2),
-                  "k2_reduced": build_complex(D, 2, reduced=True,
-                                              basepoint=D.arcs[0]),
-                  "k3": build_complex(D, 3)}
+        full = build_complex(D)
+        builds = {"k2": (full, 2),
+                  "k2_reduced": (build_complex(D, reduced=True,
+                                               basepoint=D.arcs[0]), 2),
+                  "k3": (full, 3)}
         got = {}
-        for flavour, C in builds.items():
+        for flavour, (C, k) in builds.items():
             got[flavour] = {}
-            for j, F in u_adic_filtration(C).items():
+            for j, F in u_adic_filtration(C, k).items():
                 P = filtration_pages(F)
                 got[flavour][str(j)] = {
                     "r_stab": P.r_stab,
