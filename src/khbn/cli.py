@@ -463,6 +463,8 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
     """Run one structural check; exit 1 with a counterexample on failure."""
     if k < 1:
         raise click.UsageError("--k must be a positive integer")
+    if jobs < 1:
+        raise click.UsageError("--jobs must be a positive integer")
     # the checks that read a marked arc; every other one refuses --basepoint
     pointed = check == "brcover" or (reduced and check in ("triangle", "sseq"))
     if basepoint is not None and not pointed:

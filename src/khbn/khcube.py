@@ -143,6 +143,9 @@ def apply_edge_map(kind, labeling: Dict[int, int], k: int,
 
     Returns the formal sum as (labeling, coefficient) pairs; zero
     coefficients are dropped (u^k = 0 truncation happens in RingElem).
+    No builder calls it: the cube and the cover model's check run
+    _edge_images.  It is the reference TQFT map of tests/cube_reference.py
+    and tests/test_khcube.py.
     """
     base = {bystander_map[c]: v for c, v in labeling.items() if c in bystander_map}
     one = RingElem.one(k)

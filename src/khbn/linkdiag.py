@@ -611,22 +611,6 @@ def _classify_edge(quad, ids_from, pos_from, ids_to, pos_to):
     return merge, src, dst, list(zip(from_rest, to_rest))
 
 
-def _transition(D: Diagram, crossing: int, before, pos_before,
-                after, pos_after) -> EdgeTransition:
-    """The EdgeTransition of one cube edge from its two ends and their
-    arc -> position maps; an end is anything with the `state` and the
-    `circle_ids` of its resolution (a Resolution, a brcover VertexGroup)."""
-    ids_from, ids_to = before.circle_ids, after.circle_ids
-    merge, src, dst, bystanders = _classify_edge(
-        D.crossings[crossing], ids_from, pos_before, ids_to, pos_after)
-    if merge:
-        kind = Merge(ids_from[src[0]], ids_from[src[1]], ids_to[dst[0]])
-    else:
-        kind = Split(ids_from[src[0]], ids_to[dst[0]], ids_to[dst[1]])
-    return EdgeTransition(before.state, after.state, kind,
-                          {ids_from[f]: ids_to[t] for f, t in bystanders})
-
-
 def edge_transition(D: Diagram, state: Sequence[int], crossing: int) -> EdgeTransition:
     """Classify the cube edge that flips `crossing` from 0 to 1."""
     state = tuple(state)
@@ -636,8 +620,16 @@ def edge_transition(D: Diagram, state: Sequence[int], crossing: int) -> EdgeTran
         raise CrossingAlreadyOne(f"crossing {crossing} already resolved to 1")
     to_state = state[:crossing] + (1,) + state[crossing + 1:]
     before, after = resolve(D, state), resolve(D, to_state)
-    return _transition(D, crossing, before, _arc_positions(before),
-                       after, _arc_positions(after))
+    ids_from, ids_to = before.circle_ids, after.circle_ids
+    merge, src, dst, bystanders = _classify_edge(
+        D.crossings[crossing], ids_from, _arc_positions(before),
+        ids_to, _arc_positions(after))
+    if merge:
+        kind = Merge(ids_from[src[0]], ids_from[src[1]], ids_to[dst[0]])
+    else:
+        kind = Split(ids_from[src[0]], ids_to[dst[0]], ids_to[dst[1]])
+    return EdgeTransition(state, to_state, kind,
+                          {ids_from[f]: ids_to[t] for f, t in bystanders})
 
 
 # ---------------------------------------------------------------------------

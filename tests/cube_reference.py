@@ -1,8 +1,10 @@
 """The cube complexes assembled the direct way, as a reference for the
 builders: resolve every state, classify every edge with
-`linkdiag.edge_transition` (which resolves both of its ends again), and push
-dict labelings through `khcube.apply_edge_map` or the model's
-`brcover.edge_map_brcover`, summing into `SparseMat` entries.
+`linkdiag.edge_transition` (which resolves both of its ends again), and sum
+the edge maps into `SparseMat` entries through generator index dicts.  The
+cube pushes dict labelings through `khcube.apply_edge_map`; the cover model
+turns the transition's circle ids into positions and pushes each monomial
+through `brcover.edge_map_brcover`.
 
 Each function returns (generator sort keys per degree, differential per
 degree as (rows, cols, {(row, col): coefficient bits})).
@@ -10,8 +12,8 @@ degree as (rows, cols, {(row, col): coefficient bits})).
 
 from khbn.brcover import BrGen, VertexGroup, edge_map_brcover
 from khbn.khcube import PLUS, Generator, apply_edge_map
-from khbn.linkdiag import edge_transition, resolve
-from khbn.ringalg import SparseMat
+from khbn.linkdiag import Merge, edge_transition, resolve
+from khbn.ringalg import RingElem, SparseMat
 
 
 def _states(n):
@@ -88,10 +90,19 @@ def reference_e1(D, basepoint):
             if s[c]:
                 continue
             t = edge_transition(D, s, c)
-            emap = edge_map_brcover(t, vertices[s], vertices[t.to_state])
+            V, W = vertices[s], vertices[t.to_state]
+            at, to = V.circle_ids.index, W.circle_ids.index
+            kind = t.kind
+            if isinstance(kind, Merge):
+                src, dst = (at(kind.src_a), at(kind.src_b)), (to(kind.dst),)
+            else:
+                src, dst = (at(kind.src),), (to(kind.dst_a), to(kind.dst_b))
+            edge = (isinstance(kind, Merge), src, dst,
+                    [(at(f), to(g)) for f, g in t.bystander_map.items()])
             w = sum(s)
-            col0 = index[w][BrGen(s, 0)]
-            row0 = index[w + 1][BrGen(t.to_state, 0)]
-            for (r, cc), e in emap.entries.items():
-                differential[w].add_to(row0 + r, col0 + cc, e)
+            for mask in range(V.rank):
+                col = index[w][BrGen(s, mask)]
+                for m, p in edge_map_brcover(edge, V.pointed, W.pointed, mask):
+                    differential[w].add_to(index[w + 1][BrGen(t.to_state, m)],
+                                           col, RingElem.u_power(2, p))
     return _flat(generators, differential)

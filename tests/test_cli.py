@@ -143,6 +143,11 @@ def test_malformed_inputs_exit_2():
                "--basepoint", "1").exit_code == 2
     assert run("compute", "--name", "unknot", "--invariant", "kh",
                "--jobs", "2").exit_code == 2
+    for jobs in ("0", "-3"):
+        r = run("verify", "euler", "--all-table", "--max-crossings", "3",
+                "--jobs", jobs)
+        assert r.exit_code == 2, (jobs, r.output)
+        assert "--jobs must be a positive integer" in r.output
     # a marked arc the diagram does not have
     braid = ("--braid", "1,1,1", "--strands", "2")
     for args in (("verify", "triangle", "--reduced", *braid),
