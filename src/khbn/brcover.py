@@ -26,21 +26,26 @@ circle t) that inserts a v_plus bit at the pointed position: v_minus
 sits exactly on the circles named in the monomial, the pointed circle
 carries v_plus, and Q matches u.  Quantum grading on this side is defined
 as the pullback.
+
+build_e1_complex runs khcube's cube walk and assembler with the monomials
+as keys and edge_map_brcover as the edge map, so the model is a
+khcube.GradedComplex at grading offset 0, and its generators carry the
+label tuples of phi.  verify_theorem_main builds the model and the
+reduced cube from one walk.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import List, Optional, Tuple
 
-from .khcube import (BasepointMissing, InhomogeneousEntry, verify_d_squared,
-                     _edge_images, _u_slices)
-from .linkdiag import Diagram, _arc_positions, _classify_edge, resolve
-from .ringalg import RingElem, SparseMat
+from .khcube import (BasepointMissing, GradedComplex, InhomogeneousEntry,
+                     _assemble, _edge_images, _walk, build_complex,
+                     verify_d_squared)
+from .linkdiag import Diagram
 
 __all__ = [
     "VertexGroup",
-    "E1Complex",
-    "BrGen",
     "edge_map_brcover",
     "build_e1_complex",
     "phi",
@@ -77,71 +82,6 @@ class VertexGroup:
     def __repr__(self):
         return (f"VertexGroup(state={self.state}, circles={self.circle_ids},"
                 f" pointed at {self.pointed})")
-
-
-class BrGen:
-    """Basis monomial of one vertex group, tagged by its state."""
-
-    __slots__ = ("state", "mask")
-
-    def __init__(self, state, mask):
-        self.state = tuple(state)
-        self.mask = mask
-
-    def sort_key(self):
-        return (self.state, self.mask)
-
-    def __eq__(self, other):
-        return (isinstance(other, BrGen) and self.state == other.state
-                and self.mask == other.mask)
-
-    def __hash__(self):
-        return hash((self.state, self.mask))
-
-    def __repr__(self):
-        return f"BrGen({''.join(map(str, self.state))}|{self.mask:b})"
-
-
-class E1Complex:
-    """Total complex of the model, graded by raw cube weight.
-
-    The homology code reads only `slices`, the u^0/u^1 parts of d that
-    the constructor reads off the entries (khcube._u_slices).  generators,
-    differential (SparseMats over F2[Q]/Q^2), d(), degrees() and
-    bidegree() record the same complex generator by generator, for the
-    dense oracle and the tests.
-    """
-
-    __slots__ = ("D", "basepoint", "vertices", "generators", "differential",
-                 "slices")
-
-    def __init__(self, D, basepoint, vertices, generators, differential):
-        self.D = D
-        self.basepoint = basepoint
-        self.vertices: Dict[Tuple[int, ...], VertexGroup] = vertices
-        self.generators: Dict[int, List[BrGen]] = generators
-        self.differential: Dict[int, SparseMat] = differential
-        self.slices = _u_slices(
-            {w: [self.bidegree(g)[1] for g in gens]
-             for w, gens in generators.items()}, differential)
-
-    def degrees(self) -> List[int]:
-        return sorted(self.generators)
-
-    def rank(self, w: int) -> int:
-        return len(self.generators.get(w, ()))
-
-    def d(self, w: int) -> SparseMat:
-        return self.differential.get(
-            w, SparseMat(self.rank(w + 1), self.rank(w), 2))
-
-    def bidegree(self, g: BrGen, qpow: int = 0) -> Tuple[int, int]:
-        V = self.vertices[g.state]
-        c = len(V.circle_ids)
-        size = bin(g.mask).count("1")
-        w = sum(g.state)
-        j = (c - 2 * size) - 2 * qpow + w + self.D.n_plus - 2 * self.D.n_minus
-        return w, j
 
 
 def _bit(x: int, pointed: int) -> int:
@@ -185,75 +125,36 @@ def phi(mask: int, pointed: int) -> int:
     return low | (mask ^ low) << 1
 
 
-def _cube(D: Diagram, bp: int):
-    """Every state's vertex group, indexed by state bits, and an iterator
-    over the edges as (from bits, crossing, to bits, _classify_edge's edge),
-    by state, then by crossing.  Each state is resolved once."""
-    n = D.n
-    groups: List[VertexGroup] = []
-    pos: List[bytes] = []
-    for bits in range(1 << n):
-        r = resolve(D, tuple((bits >> c) & 1 for c in range(n)), bp)
-        groups.append(VertexGroup(r.state, r.circle_ids, r.pointed_circle))
-        pos.append(_arc_positions(r))
-    edges = ((b, c, b | 1 << c,
-              _classify_edge(D.crossings[c], groups[b].circle_ids, pos[b],
-                             groups[b | 1 << c].circle_ids, pos[b | 1 << c]))
-             for b in range(1 << n) for c in range(n) if not (b >> c) & 1)
-    return groups, edges
+def _monomials(c: int, pointed: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(monomial, label tuple of its phi) of the 2^(c-1) monomials of a
+    smoothing with c circles, in monomial order."""
+    return [(mask, tuple((phi(mask, pointed) >> t) & 1 for t in range(c)))
+            for mask in range(1 << (c - 1))]
 
 
-def _images(groups: List[VertexGroup], b: int, t: int, edge):
-    """The images of every monomial of state b under the edge to state t."""
-    pf, pt = groups[b].pointed, groups[t].pointed
-    return [edge_map_brcover(edge, pf, pt, mask)
-            for mask in range(groups[b].rank)]
+def build_e1_complex(D: Diagram, basepoint: Optional[int] = None,
+                     walk=None) -> GradedComplex:
+    """All 2^n vertex groups and the n 2^(n-1) edge maps, graded by raw
+    cube weight; asserts d^2 = 0 over F2[Q]/Q^2.
 
-
-def _assemble(D: Diagram, bp: int, groups: List[VertexGroup],
-              edges) -> E1Complex:
-    """The model's total complex from its vertex groups and an iterable of
-    (from bits, to bits, images), images[mask] being the edge's images of
-    one monomial.  Generators run in state order, so an entry's column is
-    its state's block start plus the monomial mask.  Each entry is written
-    once; asserts d^2 = 0 over F2[Q]/Q^2."""
-    generators: Dict[int, List[BrGen]] = {}
-    first = [0] * len(groups)   # index of the state's first generator
-    for b in sorted(range(len(groups)), key=lambda b: groups[b].state):
-        V = groups[b]
-        gens = generators.setdefault(sum(V.state), [])
-        first[b] = len(gens)
-        gens.extend(BrGen(V.state, mask) for mask in range(V.rank))
-    differential: Dict[int, SparseMat] = {
-        w: SparseMat(len(generators.get(w + 1, ())), len(gens), 2)
-        for w, gens in generators.items()}
-    elem = (RingElem.one(2), RingElem.u_power(2, 1))
-    for b, t, images in edges:
-        entries = differential[sum(groups[b].state)].entries
-        for col, terms in enumerate(images, first[b]):
-            for m, p in terms:
-                key = (first[t] + m, col)
-                if key in entries:
-                    raise DSquaredFailure(
-                        f"entry {key} of the model's d from state"
-                        f" {groups[b].state} written twice")
-                entries[key] = elem[p]
-    C = E1Complex(D, bp, {V.state: V for V in groups}, generators,
-                  differential)
+    A generator is a state and the label tuple of phi of its monomial, in
+    the order (state, monomial).  The cube is walked once (khcube._walk; a
+    caller that has walked it at this basepoint passes its walk).
+    """
+    bp = basepoint if basepoint is not None else D.basepoint_arc
+    if bp is None:
+        raise BasepointMissing("the model is pointed; pick a basepoint arc")
+    states, circles, pointed, edges = walk or _walk(D, bp)
+    monomials = {key: _monomials(*key) for key in set(zip(circles, pointed))}
+    images = ((b, t, partial(edge_map_brcover, edge, pointed[b], pointed[t]))
+              for b, _, t, edge in edges)
+    C = GradedComplex(D, True, bp, 0, *_assemble(
+        D, 0, states, [monomials[key] for key in zip(circles, pointed)],
+        images, DSquaredFailure))
     report = verify_d_squared(C, order=2)
     if not report.passed:
         raise DSquaredFailure(f"model differential fails d^2=0: {report.failures}")
     return C
-
-
-def build_e1_complex(D: Diagram, basepoint: Optional[int] = None) -> E1Complex:
-    """All 2^n vertex groups and the n 2^(n-1) edge maps; asserts d^2 = 0."""
-    bp = basepoint if basepoint is not None else D.basepoint_arc
-    if bp is None:
-        raise BasepointMissing("the model is pointed; pick a basepoint arc")
-    groups, edges = _cube(D, bp)
-    return _assemble(D, bp, groups, ((b, t, _images(groups, b, t, edge))
-                                     for b, _, t, edge in edges))
 
 
 class TheoremReport:
@@ -288,38 +189,31 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
         (i + n_minus).
     """
     from .homology import bigraded_homology, ModuleDecomp
-    from .khcube import build_complex
 
     bp = basepoint if basepoint is not None else D.basepoint_arc
     if bp is None:
         raise BasepointMissing("the model is pointed; pick a basepoint arc")
+    states, circles, pointed, edges = _walk(D, bp)
+    edges = list(edges)
+    walk = states, circles, pointed, edges
     chain_failures = []
-    edges = 0
-    groups, cube_edges = _cube(D, bp)
-
-    def compared():
-        # each model edge map, once checked against the cube's through phi
-        nonlocal edges
-        for b, c, t, edge in cube_edges:
-            edges += 1
-            pf, pt = groups[b].pointed, groups[t].pointed
-            images = _images(groups, b, t, edge)
-            for mask, model in enumerate(images):
-                cube = [(m, p) for m, p in _edge_images(*edge, phi(mask, pf))
-                        if not (m >> pt) & 1]
-                if sorted((phi(m, pt), p) for m, p in model) != sorted(cube):
-                    chain_failures.append((groups[b].state, c))
-                    break
-            yield b, t, images
-
+    for b, c, t, edge in edges:
+        pf, pt = pointed[b], pointed[t]
+        for mask in range(1 << (circles[b] - 1)):
+            model = edge_map_brcover(edge, pf, pt, mask)
+            cube = [(m, p) for m, p in _edge_images(*edge, phi(mask, pf))
+                    if not (m >> pt) & 1]
+            if sorted((phi(m, pt), p) for m, p in model) != sorted(cube):
+                chain_failures.append((states[b], c))
+                break
     try:
-        E1 = _assemble(D, bp, groups, compared())
+        E1 = build_e1_complex(D, bp, walk)
     except (InhomogeneousEntry, DSquaredFailure) as e:
         # a broken model map need not give a graded complex; no module to compare
-        return TheoremReport(False, edges, chain_failures, [(None, str(e), None)],
-                             None, None)
+        return TheoremReport(False, len(edges), chain_failures,
+                             [(None, str(e), None)], None, None)
     M_model = bigraded_homology(E1, 2)
-    C = build_complex(D, reduced=True, basepoint=bp, force=True)
+    C = build_complex(D, reduced=True, basepoint=bp, force=True, walk=walk)
     M_bn = bigraded_homology(C, 2)
     shift = ModuleDecomp(2, {(i + D.n_minus, j): dict(m)
                              for (i, j), m in M_bn.table.items()})
@@ -330,5 +224,5 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
             module_failures.append((bd, M_model.table.get(bd),
                                     shift.table.get(bd)))
     passed = not chain_failures and not module_failures
-    return TheoremReport(passed, edges, chain_failures, module_failures,
+    return TheoremReport(passed, len(edges), chain_failures, module_failures,
                          M_model, M_bn)

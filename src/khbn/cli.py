@@ -465,6 +465,8 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
         raise click.UsageError("--k must be a positive integer")
     if jobs < 1:
         raise click.UsageError("--jobs must be a positive integer")
+    if max_crossings is not None and max_crossings < 0:
+        raise click.UsageError("--max-crossings must be a non-negative integer")
     # the checks that read a marked arc; every other one refuses --basepoint
     pointed = check == "brcover" or (reduced and check in ("triangle", "sseq"))
     if basepoint is not None and not pointed:

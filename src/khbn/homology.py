@@ -112,7 +112,10 @@ def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
 
     In each degree the generators are ordered by quantum degree, highest
     first (slice by slice), and the columns of d are reduced left to right;
-    the low of a column is its lowest-quantum row.  Returns the unpaired
+    the low of a column is its lowest-quantum row.  Degrees run upwards,
+    so a generator that is already the low of a reduced column of d_(i-1)
+    is skipped: its own column reduces to zero (clearing, Chen-Kerber).
+    Returns the unpaired
     generators as (i, q) and the pairs as (i, q_x, q_y): x at (i, q_x) with
     d x = u^a y over F2[u] after the reduction, y at (i+1, q_y),
     a = (q_y - q_x)/2.
@@ -133,6 +136,8 @@ def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
         at0 = offset.get((i + 1, j), 0)
         at1 = offset.get((i + 1, j + 2), 0)
         for s, (d0, d1) in enumerate(zip(*cols[(i, j)])):
+            if offset[(i, j)] + s in paired[i]:
+                continue  # clearing: a low of d_(i-1) reduces to zero
             col = d0 << at0 | d1 << at1
             while col:
                 low = col.bit_length() - 1

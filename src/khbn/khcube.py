@@ -13,13 +13,17 @@ The reduced complex is the quotient killing every generator whose pointed
 circle carries v_minus; that span is a subcomplex, which the builder
 asserts rather than assumes.
 
-build_complex resolves each of the 2^n states once.  A generator is a
-state plus a label bitmask, and each edge's merge or split comes from the
-resolutions at its two ends (linkdiag._classify_edge), so no edge resolves
-anything again.  Each entry of d is written once, untruncated: every entry
-is u^0 or u^1, as the quantum degrees of its two generators fix, so one
-build is the complex over F2[u] and the truncation order k is an argument
-of the read-offs (homology.bigraded_homology, sseq.u_adic_filtration).
+One cube walk and one assembler serve this cube and the cover model in
+brcover.  _walk resolves each of the 2^n states once, and each edge's
+merge or split comes from the resolutions at its two ends
+(linkdiag._classify_edge), so no edge resolves anything again.  _assemble
+takes each state's kept generators (a state plus a label bitmask here) and
+each edge's images; an image that its target state does not keep
+vanishes, which is the reduced quotient.  Each entry of d is written
+once, untruncated: every entry is u^0 or u^1, as the quantum degrees of
+its two generators fix, so one build is the complex over F2[u] and the
+truncation order k is an argument of the read-offs
+(homology.bigraded_homology, sseq.u_adic_filtration).
 At assembly d is read once into its u^0 part d0 and its u^1 part d1,
 quantum slice by quantum slice (_u_slices), and every read-off and the
 d^2 check use these slices.  d^2 = 0 is checked on every build over F2[u]:
@@ -28,6 +32,7 @@ d0 d0 = 0, d0 d1 + d1 d0 = 0 and d1 d1 = 0, hence d^2 = 0 at every k.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linkdiag import (Diagram, Merge, Split, _arc_positions, _classify_edge,
@@ -98,23 +103,25 @@ class Generator:
 class GradedComplex:
     """Chain complex of free F2[u] modules indexed by homological degree.
 
-    generators and differential record the basis and d entry by entry, as
+    A generator of state s sits in degree |s| - offset, where offset is
+    n_minus, or 0 for the cover model.  generators and differential record
+    the basis and d entry by entry, as
     RingElems of F2[u]/u^2, which holds the entries u^0 and u^1 exactly.
     slices = (size, cols) is d as _u_slices splits it; every read-off uses
     the slices.
     """
 
-    __slots__ = ("D", "reduced", "basepoint", "generators", "differential",
-                 "circle_ids", "slices")
+    __slots__ = ("D", "reduced", "basepoint", "offset", "generators",
+                 "differential", "slices")
 
-    def __init__(self, D, reduced, basepoint, generators, differential,
-                 circle_ids, slices):
+    def __init__(self, D, reduced, basepoint, offset, generators,
+                 differential, slices):
         self.D = D
         self.reduced = reduced
         self.basepoint = basepoint
+        self.offset = offset
         self.generators: Dict[int, List[Generator]] = generators
         self.differential: Dict[int, SparseMat] = differential
-        self.circle_ids: Dict[Tuple[int, ...], Tuple[int, ...]] = circle_ids
         self.slices = slices
 
     def degrees(self) -> List[int]:
@@ -123,11 +130,10 @@ class GradedComplex:
     def bidegree(self, g: Generator, u_power: int = 0) -> Tuple[int, int]:
         D = self.D
         w = sum(g.state)
-        i = w - D.n_minus
         minus = sum(g.labels)
         plus = len(g.labels) - minus
         j = (plus - minus) - 2 * u_power + w + D.n_plus - 2 * D.n_minus
-        return i, j
+        return w - self.offset, j
 
     def rank(self, i: int) -> int:
         return len(self.generators.get(i, ()))
@@ -179,11 +185,12 @@ def apply_edge_map(kind, labeling: Dict[int, int], k: int,
     return out
 
 
-def _labelings(c: int) -> List[Tuple[int, Tuple[int, ...]]]:
-    """(bitmask, label tuple) of the 2^c labelings of c circles, in the
-    order of the label tuples."""
+def _labelings(c: int, kill: Optional[int]) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(bitmask, label tuple) of the labelings of c circles that put v_plus
+    at position kill (all 2^c when kill is None), in label tuple order."""
     return sorted(((m, tuple((m >> t) & 1 for t in range(c)))
-                   for m in range(1 << c)), key=lambda ml: ml[1])
+                   for m in range(1 << c) if kill is None or not (m >> kill) & 1),
+                  key=lambda ml: ml[1])
 
 
 def _edge_images(merge: bool, src, dst, bystanders,
@@ -203,23 +210,11 @@ def _edge_images(merge: bool, src, dst, bystanders,
     return [(base | db, 0), (base | da, 0), (base, 1)]
 
 
-def build_complex(D: Diagram, reduced: bool = False,
-                  basepoint: Optional[int] = None,
-                  force: bool = False) -> GradedComplex:
-    """Assemble the full complex over F2[u]; asserts d*d = 0 before
-    returning.
-
-    Each state is resolved once; a generator is built as (state, label
-    bitmask), and every edge map is read off the two resolutions of its
-    ends.  Above 14 crossings the cube is refused unless force is set.
-    """
-    if D.n > 14 and not force:
-        raise ResourceLimit(
-            f"{D.n} crossings: the full cube has {1 << D.n} vertices;"
-            " pass force to proceed")
-    bp = basepoint if basepoint is not None else D.basepoint_arc
-    if reduced and bp is None:
-        raise BasepointMissing("reduced complex needs a basepoint arc")
+def _walk(D: Diagram, bp: Optional[int]):
+    """Resolve each of the 2^n states once.  Returns, indexed by state
+    bits, the states, their circle counts and the positions of their pointed
+    circles (None without a basepoint), and an iterator over the edges as
+    (from bits, crossing, to bits, _classify_edge's edge)."""
     if bp is not None and bp not in D.arcs:
         raise BasepointMissing(f"arc {bp} does not occur in the diagram")
     n = D.n
@@ -230,65 +225,101 @@ def build_complex(D: Diagram, reduced: bool = False,
         r = resolve(D, s, bp)
         ids.append(r.circle_ids)
         pos.append(_arc_positions(r))
-    # position of the pointed circle, or None when no generator is killed
-    pointed = [p[bp] if reduced else None for p in pos]
-    q_shift = D.n_plus - 2 * D.n_minus
+    pointed = [p[bp] if bp is not None else None for p in pos]
+    edges = ((b, c, b | 1 << c,
+              _classify_edge(D.crossings[c], ids[b], pos[b],
+                             ids[b | 1 << c], pos[b | 1 << c]))
+             for b in range(1 << n) for c in range(n) if not (b >> c) & 1)
+    return states, [len(i) for i in ids], pointed, edges
 
-    labelings: Dict[int, List[Tuple[int, Tuple[int, ...]]]] = {}
+
+def _assemble(D: Diagram, offset: int, states, kept, edges, fault):
+    """The generators, d and its slices of a complex on the cube.
+
+    kept[b] lists the generators of state b in order, as (key, label
+    tuple); edges yields (from bits, to bits, images), images(key) being
+    the edge's images of one key as (key, u power).  A generator of state
+    s sits in degree |s| - offset.  Each entry of d is written once, and a
+    second write raises fault; an image whose key the target state does
+    not keep vanishes, which is the projection onto a quotient.
+    """
+    q_shift = D.n_plus - 2 * D.n_minus
     generators: Dict[int, List[Generator]] = {}
     quantum: Dict[int, List[int]] = {}
     first: List[int] = [0] * len(states)   # index of the state's first generator
-    local: List[Dict[int, int]] = [{} for _ in states]  # kept mask -> offset
+    local: List[Dict[int, int]] = [{} for _ in states]  # kept key -> offset
     for b in sorted(range(len(states)), key=states.__getitem__):
-        c = len(ids[b])
-        if c not in labelings:
-            labelings[c] = _labelings(c)
-        pp = pointed[b]
-        kept = [(m, lab) for m, lab in labelings[c] if pp is None or not lab[pp]]
         w = sum(states[b])
-        i = w - D.n_minus
-        gens = generators.setdefault(i, [])
-        qs = quantum.setdefault(i, [])
+        gens = generators.setdefault(w - offset, [])
+        qs = quantum.setdefault(w - offset, [])
         first[b] = len(gens)
-        local[b] = {m: t for t, (m, _) in enumerate(kept)}
-        for _, lab in kept:
+        local[b] = {m: t for t, (m, _) in enumerate(kept[b])}
+        for _, lab in kept[b]:
             gens.append(Generator(states[b], lab))
-            qs.append(c - 2 * sum(lab) + w + q_shift)
+            qs.append(len(lab) - 2 * sum(lab) + w + q_shift)
 
     differential: Dict[int, SparseMat] = {
         i: SparseMat(len(generators.get(i + 1, ())), len(gens), 2)
         for i, gens in generators.items()}
     elem = (RingElem.one(2), RingElem.u_power(2, 1))
-    for b, s in enumerate(states):
-        entries = differential[sum(s) - D.n_minus].entries
-        for cr in range(n):
-            if s[cr]:
-                continue
-            t = b | (1 << cr)
-            edge = _classify_edge(D.crossings[cr], ids[b], pos[b], ids[t], pos[t])
-            pp, pt = pointed[b], pointed[t]
+    for b, t, images in edges:
+        entries = differential[sum(states[b]) - offset].entries
+        # the rows of one edge lie in the block of state t
+        row0, rows = first[t], local[t]
+        for key, off in local[b].items():
+            col = first[b] + off
+            for m, p in images(key):
+                row = rows.get(m)
+                if row is None:
+                    continue  # state t does not keep m: the quotient drops it
+                at = (row0 + row, col)
+                if at in entries:
+                    raise fault(f"entry {at} of d from state {states[b]}"
+                                " written twice")
+                entries[at] = elem[p]
+    return generators, differential, _u_slices(quantum, differential)
+
+
+def build_complex(D: Diagram, reduced: bool = False,
+                  basepoint: Optional[int] = None,
+                  force: bool = False, walk=None) -> GradedComplex:
+    """Assemble the full complex over F2[u]; asserts d*d = 0 before
+    returning.
+
+    Each state is resolved once (_walk; a caller that has walked the cube
+    at the same basepoint passes its walk), a generator is a state plus a
+    label bitmask, and every edge map is read off the two resolutions of
+    its ends.  Above 14 crossings the cube is refused unless force is set.
+    """
+    if D.n > 14 and not force:
+        raise ResourceLimit(
+            f"{D.n} crossings: the full cube has {1 << D.n} vertices;"
+            " pass force to proceed")
+    bp = basepoint if basepoint is not None else D.basepoint_arc
+    if reduced and bp is None:
+        raise BasepointMissing("reduced complex needs a basepoint arc")
+    states, circles, pointed, edges = walk or _walk(D, bp)
+    # position of the pointed circle, or None when no generator is killed
+    killed = pointed if reduced else [None] * len(states)
+    labelings = {key: _labelings(*key) for key in set(zip(circles, killed))}
+
+    def images():
+        for b, cr, t, edge in edges:
+            pp, pt = killed[b], killed[t]
             if pp is not None and pp in edge[1]:
                 # the killed span must be a subcomplex, else the quotient
                 # is not a complex: a v_minus at the basepoint stays there
                 for m, _ in _edge_images(*edge, 1 << pp):
                     if not (m >> pt) & 1:
                         raise SubcomplexViolation(
-                            f"killed generator leaks at state {s}, crossing {cr}")
-            # the rows of one edge lie in the block of state t
-            row0, rows = first[t], local[t]
-            for mask, off in local[b].items():
-                col = first[b] + off
-                for m, p in _edge_images(*edge, mask):
-                    if pt is not None and (m >> pt) & 1:
-                        continue  # quotient projection: killed terms vanish
-                    key = (row0 + rows[m], col)
-                    if key in entries:
-                        raise SubcomplexViolation(
-                            f"entry {key} of d from state {s} written twice")
-                    entries[key] = elem[p]
+                            f"killed generator leaks at state {states[b]},"
+                            f" crossing {cr}")
+            yield b, t, partial(_edge_images, *edge)
 
-    C = GradedComplex(D, reduced, bp, generators, differential,
-                      dict(zip(states, ids)), _u_slices(quantum, differential))
+    C = GradedComplex(D, reduced, bp, D.n_minus, *_assemble(
+        D, D.n_minus, states,
+        [labelings[key] for key in zip(circles, killed)],
+        images(), SubcomplexViolation))
     report = verify_d_squared(C)
     if not report.passed:
         raise SubcomplexViolation(f"d squared nonzero at {report.failures[0]}")

@@ -2,8 +2,9 @@
 
 RingElem and SparseMat record a complex's d entry by entry, over
 F2[u]/u^2, which holds the cube's entries u^0 and u^1 exactly and is the
-cover model's ring F2[Q]/Q^2; the edge maps of the model and of the
-reference assemblies use them too.  A matrix over F2 is a list of
+cover model's ring F2[Q]/Q^2.  Only khcube's assembler writes them for
+the two builders; the edge maps return (mask, power) pairs, and the
+reference assemblies of the tests sum into SparseMats.  A matrix over F2 is a list of
 column bitmasks, which _apply applies to a vector.  Echelon is the
 package's incremental GF(2) eliminator on bitmask vectors: its rows can
 carry tags, so one column reduction gives a kernel (kernel) and coords reads

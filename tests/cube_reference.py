@@ -4,13 +4,13 @@ builders: resolve every state, classify every edge with
 the edge maps into `SparseMat` entries through generator index dicts.  The
 cube pushes dict labelings through `khcube.apply_edge_map`; the cover model
 turns the transition's circle ids into positions and pushes each monomial
-through `brcover.edge_map_brcover`.
+through `brcover.edge_map_brcover`, keyed by (state, monomial) pairs.
 
 Each function returns (generator sort keys per degree, differential per
 degree as (rows, cols, {(row, col): coefficient bits})).
 """
 
-from khbn.brcover import BrGen, VertexGroup, edge_map_brcover
+from khbn.brcover import VertexGroup, edge_map_brcover, phi
 from khbn.khcube import PLUS, Generator, apply_edge_map
 from khbn.linkdiag import Merge, edge_transition, resolve
 from khbn.ringalg import RingElem, SparseMat
@@ -20,10 +20,10 @@ def _states(n):
     return [tuple((bits >> c) & 1 for c in range(n)) for bits in range(1 << n)]
 
 
-def _flat(generators, differential):
-    return ({i: [g.sort_key() for g in gens] for i, gens in generators.items()},
-            {i: (m.rows, m.cols, {key: e.bits for key, e in m.entries.items()})
-             for i, m in differential.items()})
+def _flat(keys, differential):
+    return (keys, {i: (m.rows, m.cols,
+                       {key: e.bits for key, e in m.entries.items()})
+                   for i, m in differential.items()})
 
 
 def reference_complex(D, k, reduced=False, basepoint=None):
@@ -66,10 +66,14 @@ def reference_complex(D, k, reduced=False, basepoint=None):
                         h = Generator(t.to_state, labels)
                         mat.add_to(index[i + 1][h], col, coeff)
         differential[i] = mat
-    return _flat(generators, differential)
+    return _flat({i: [g.sort_key() for g in gens]
+                  for i, gens in generators.items()}, differential)
 
 
 def reference_e1(D, basepoint):
+    """The model keyed by (state, monomial), which fixes its generator
+    order; a key is flattened to the state and the label tuple of phi of
+    its monomial, as the builder's generators carry it."""
     states = _states(D.n)
     vertices = {}
     for s in states:
@@ -78,9 +82,9 @@ def reference_e1(D, basepoint):
     generators = {}
     for s, V in vertices.items():
         generators.setdefault(sum(s), []).extend(
-            BrGen(s, mask) for mask in range(V.rank))
+            (s, mask) for mask in range(V.rank))
     for gens in generators.values():
-        gens.sort(key=BrGen.sort_key)
+        gens.sort()
     index = {w: {g: t for t, g in enumerate(gens)}
              for w, gens in generators.items()}
     differential = {w: SparseMat(len(generators.get(w + 1, ())), len(gens), 2)
@@ -101,8 +105,15 @@ def reference_e1(D, basepoint):
                     [(at(f), to(g)) for f, g in t.bystander_map.items()])
             w = sum(s)
             for mask in range(V.rank):
-                col = index[w][BrGen(s, mask)]
+                col = index[w][(s, mask)]
                 for m, p in edge_map_brcover(edge, V.pointed, W.pointed, mask):
-                    differential[w].add_to(index[w + 1][BrGen(t.to_state, m)],
+                    differential[w].add_to(index[w + 1][(t.to_state, m)],
                                            col, RingElem.u_power(2, p))
-    return _flat(generators, differential)
+
+    def labels(s, mask):
+        V = vertices[s]
+        return s, tuple((phi(mask, V.pointed) >> t) & 1
+                        for t in range(len(V.circle_ids)))
+
+    return _flat({w: [labels(*g) for g in gens]
+                  for w, gens in generators.items()}, differential)

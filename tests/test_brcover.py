@@ -202,8 +202,12 @@ def test_raw_map_rejects_merges():
 
 
 def test_model_needs_basepoint():
+    D = diagram("trefoil_L")
     with pytest.raises(BasepointMissing):
-        build_e1_complex(diagram("trefoil_L"))
+        build_e1_complex(D)
+    for check in (build_e1_complex, verify_theorem_main):
+        with pytest.raises(BasepointMissing, match="arc 99 does not occur"):
+            check(D, 99)
 
 
 def test_trefoil_model_homology():

@@ -148,6 +148,10 @@ def test_malformed_inputs_exit_2():
                 "--jobs", jobs)
         assert r.exit_code == 2, (jobs, r.output)
         assert "--jobs must be a positive integer" in r.output
+    # a negative bound would skip every entry and pass with nothing run
+    r = run("verify", "euler", "--all-table", "--max-crossings", "-1")
+    assert r.exit_code == 2, r.output
+    assert "--max-crossings must be a non-negative integer" in r.output
     # a marked arc the diagram does not have
     braid = ("--braid", "1,1,1", "--strands", "2")
     for args in (("verify", "triangle", "--reduced", *braid),

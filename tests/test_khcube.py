@@ -203,36 +203,35 @@ def test_builder_matches_reference_assembly():
 
 
 def test_builders_resolve_each_state_once(monkeypatch):
-    calls = {"khcube": 0, "brcover": 0}
+    # every module that holds resolve counts into one total, so a builder
+    # cannot resolve a state again through another module's name for it
+    calls = [0]
+    real = linkdiag.resolve
 
-    def counting(module):
-        real = getattr(module, "resolve")
-
-        def resolve_counted(*args, **kwargs):
-            calls[module.__name__.split(".")[-1]] += 1
-            return real(*args, **kwargs)
-        return resolve_counted
+    def resolve_counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
 
     def no_edge_transition(*args, **kwargs):
         raise AssertionError("a builder called edge_transition")
 
-    for module in (khcube, brcover):
-        monkeypatch.setattr(module, "resolve", counting(module))
     for module in (linkdiag, khcube, brcover):
+        if hasattr(module, "resolve"):
+            monkeypatch.setattr(module, "resolve", resolve_counted)
         monkeypatch.setattr(module, "edge_transition", no_edge_transition,
                             raising=False)
     for D in (parse_pd("U"), parse_pd(TREFOIL), from_braid([1, -2, 1, -2, 3], 4)):
         for reduced in (False, True):
-            calls["khcube"] = 0
+            calls[0] = 0
             build_complex(D, reduced=reduced, basepoint=D.arcs[0])
-            assert calls["khcube"] == 1 << D.n
-        calls["brcover"] = 0
+            assert calls[0] == 1 << D.n
+        calls[0] = 0
         brcover.build_e1_complex(D, D.arcs[0])
-        assert calls["brcover"] == 1 << D.n
-        calls["brcover"] = calls["khcube"] = 0
+        assert calls[0] == 1 << D.n
+        # the model and the reduced cube of the identification share one walk
+        calls[0] = 0
         assert brcover.verify_theorem_main(D, D.arcs[0]).passed
-        assert calls["brcover"] == 1 << D.n
-        assert calls["khcube"] == 1 << D.n
+        assert calls[0] == 1 << D.n
 
 
 def slice_check(quantum, entries, order=3):
