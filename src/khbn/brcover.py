@@ -45,43 +45,17 @@ from .khcube import (BasepointMissing, GradedComplex, InhomogeneousEntry,
 from .linkdiag import Diagram
 
 __all__ = [
-    "VertexGroup",
     "edge_map_brcover",
     "build_e1_complex",
     "phi",
     "verify_theorem_main",
     "DSquaredFailure",
-    "StateMismatch",
 ]
 
 
 class DSquaredFailure(AssertionError):
     """The model's d is not a differential: an entry is written twice, or
     d^2 != 0 over F2[Q]/Q^2."""
-
-
-class StateMismatch(ValueError):
-    pass
-
-
-class VertexGroup:
-    """Exterior-algebra data of one smoothing: `pointed` is the position of
-    the pointed circle in the sorted circle ids, and monomials are bitmasks
-    over the other circles."""
-
-    __slots__ = ("state", "circle_ids", "pointed", "rank")
-
-    def __init__(self, state, circle_ids, pointed):
-        self.state = tuple(state)
-        self.circle_ids = tuple(circle_ids)
-        if pointed not in circle_ids:
-            raise StateMismatch("pointed circle missing from resolution")
-        self.pointed = self.circle_ids.index(pointed)
-        self.rank = 1 << (len(circle_ids) - 1)
-
-    def __repr__(self):
-        return (f"VertexGroup(state={self.state}, circles={self.circle_ids},"
-                f" pointed at {self.pointed})")
 
 
 def _bit(x: int, pointed: int) -> int:
@@ -148,7 +122,7 @@ def build_e1_complex(D: Diagram, basepoint: Optional[int] = None,
     monomials = {key: _monomials(*key) for key in set(zip(circles, pointed))}
     images = ((b, t, partial(edge_map_brcover, edge, pointed[b], pointed[t]))
               for b, _, t, edge in edges)
-    C = GradedComplex(D, True, bp, 0, *_assemble(
+    C = GradedComplex(D, True, 0, *_assemble(
         D, 0, states, [monomials[key] for key in zip(circles, pointed)],
         images, DSquaredFailure))
     report = verify_d_squared(C, order=2)

@@ -26,12 +26,13 @@ import click
 
 from . import __version__
 from .brcover import build_e1_complex, verify_theorem_main
-from .homology import bigraded_homology, euler_characteristic, verify_triangle
+from .homology import (_barcode, bigraded_homology, euler_characteristic,
+                       verify_triangle)
 from .khcube import ResourceLimit, build_complex
 from .laurent import Laurent
 from .linkdiag import (Diagram, DiagramError, from_braid, kauffman_jones,
                        load_link_table, parse_pd, render)
-from .sseq import filtration_pages, u_adic_filtration, verify_einfty_gr
+from .sseq import u_adic_filtration, u_adic_pages, verify_einfty_gr
 
 SCHEMA_VERSION = 1
 
@@ -397,9 +398,11 @@ def _check_brcover(D: Diagram, bp: int) -> Tuple[bool, str]:
 def _check_sseq(D: Diagram, k: int, reduced: bool,
                 bp: Optional[int]) -> Tuple[bool, str]:
     C = build_complex(D, reduced=reduced, basepoint=bp, force=True)
-    M = bigraded_homology(C, k)
+    bars = _barcode(C)
+    M = bigraded_homology(C, k, bars)
+    tables = u_adic_pages(C, k, bars)
     for j, F in sorted(u_adic_filtration(C, k).items()):
-        rep = verify_einfty_gr(F, M)
+        rep = verify_einfty_gr(F, M, tables[j])
         if not rep.passed:
             return False, f"E_inf != gr at quantum {j}: {rep.mismatches[0]}"
     return True, "E_inf = gr(H) at every position"
@@ -567,13 +570,15 @@ def sseq_cmd(pd, braid, strands, name, k, reduced, basepoint, force) -> None:
     except ResourceLimit as e:
         click.echo(f"refused: {e}; rerun with --force", err=True)
         sys.exit(3)
-    M = bigraded_homology(C, k)
+    bars = _barcode(C)
+    M = bigraded_homology(C, k, bars)
+    tables = u_adic_pages(C, k, bars)
     flavour = "reduced" if reduced else "unreduced"
     click.echo(f"pd: {render(D)}")
     click.echo(f"filtration of the k={k} complex, {flavour}")
     all_ok = True
     for j, F in sorted(u_adic_filtration(C, k).items()):
-        table = filtration_pages(F)
+        table = tables[j]
         click.echo(f"quantum {j}: stabilizes at r={table.r_stab},"
                    f" E_inf total {table.page_total(len(table.pages) - 1)}")
         for r in range(table.r_stab + 1):

@@ -16,8 +16,8 @@ at (i, j) is the two-layer slice S(i, j) + u S(i, j+2).  Explicit cycle
 representatives carry the maps of the triangle: u is a bit shift, setting
 u = 0 a bit mask, and the connecting map applies d1.  The kernels, and the
 class of a cycle in its representatives, come from tagged ringalg.Echelon
-reductions.  That check shares no code with the barcode; the u-adic pages
-in sseq use the same slices.
+reductions.  That check shares no code with the barcode; the u-adic
+filtration in sseq, on which its E_infty check runs, uses the same slices.
 """
 
 from __future__ import annotations
@@ -153,11 +153,13 @@ def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
     return free, pairs
 
 
-def bigraded_homology(C: GradedComplex, k: int) -> ModuleDecomp:
+def bigraded_homology(C: GradedComplex, k: int,
+                      bars: Optional[Tuple[list, list]] = None) -> ModuleDecomp:
     """Homology of C over F2[u]/u^k as multiplicities of cyclic u-towers
     per bidegree.
 
-    Read off the barcode at truncation order k: an unpaired generator at
+    Read off the barcode at truncation order k (_barcode(C), or bars when
+    the caller has it already): an unpaired generator at
     (i, q) is a tower of length k topped there; a pair (i, q_x, q_y) with
     a = (q_y - q_x)/2 >= 1 gives two towers of length min(a, k), topped at
     (i+1, q_y) and at (i, q_x - 2 max(k - a, 0)); a pair with a = 0 gives
@@ -165,7 +167,7 @@ def bigraded_homology(C: GradedComplex, k: int) -> ModuleDecomp:
     """
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
-    free, pairs = _barcode(C)
+    free, pairs = _barcode(C) if bars is None else bars
     table: Dict[Tuple[int, int], Dict[int, int]] = {}
 
     def tower(i: int, j: int, t: int) -> None:

@@ -111,14 +111,12 @@ class GradedComplex:
     the slices.
     """
 
-    __slots__ = ("D", "reduced", "basepoint", "offset", "generators",
-                 "differential", "slices")
+    __slots__ = ("D", "reduced", "offset", "generators", "differential",
+                 "slices")
 
-    def __init__(self, D, reduced, basepoint, offset, generators,
-                 differential, slices):
+    def __init__(self, D, reduced, offset, generators, differential, slices):
         self.D = D
         self.reduced = reduced
-        self.basepoint = basepoint
         self.offset = offset
         self.generators: Dict[int, List[Generator]] = generators
         self.differential: Dict[int, SparseMat] = differential
@@ -316,7 +314,7 @@ def build_complex(D: Diagram, reduced: bool = False,
                             f" crossing {cr}")
             yield b, t, partial(_edge_images, *edge)
 
-    C = GradedComplex(D, reduced, bp, D.n_minus, *_assemble(
+    C = GradedComplex(D, reduced, D.n_minus, *_assemble(
         D, D.n_minus, states,
         [labelings[key] for key in zip(circles, killed)],
         images(), SubcomplexViolation))

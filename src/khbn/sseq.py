@@ -1,5 +1,5 @@
 """Spectral sequence of a finite filtered F2 complex, and the u-adic
-filtration of the cube complex.
+filtration of the cube complex with its pages read off the barcode.
 
 Filtration is increasing, F_p = span of basis vectors with level <= p, and
 the differential preserves every F_p (equivalently, never raises the level
@@ -11,14 +11,22 @@ of a basis vector).  Pages use the classical subquotients
 so d_r drops the filtration index by r.  For the u-adic filtration of the
 cube truncated at u^k, level(g, u^p) = k-1-p: the u-free quotient sits on
 top and the page-0 differential is the Khovanov one on each layer.  k is
-an argument of the read-off, u_adic_filtration(C, k), so one build serves
-every k.
+an argument of the read-offs, u_adic_filtration(C, k) and
+u_adic_pages(C, k), so one build serves every k.
+
+The u-adic pages come from the barcode of C (homology._barcode), which
+splits C over F2[u] into free towers and pairs: u_adic_pages counts
+elements and drops each pair's elements at the page its gap fixes, with no
+linear algebra.  filtration_pages computes the pages of any filtered
+complex from the Z_r kernels below; it is the oracle the read-off is
+tested against.
 
 E_infty is the page at depth+1 (the filtration is bounded), and it must
 match the graded pieces of the image filtration on homology; that
 filtration is computed honestly from cycle spans: a torsion class can be
 representable deeper in u than its tower position suggests, so the
 associated graded is not a function of the module decomposition alone.
+The E_infty check therefore shares no code with the barcode.
 
 d is stored as column bitmasks, the format of the cube's slices.  Z_r^{p,i}
 is the kernel of the level <= p columns of d with only the rows above level
@@ -32,13 +40,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .khcube import GradedComplex
-from .homology import ModuleDecomp, _layer_cols, _layers
+from .homology import ModuleDecomp, _barcode, _layer_cols, _layers
 from .ringalg import Echelon, _apply, kernel
 
 __all__ = [
     "FilteredComplex",
     "PageTable",
     "u_adic_filtration",
+    "u_adic_pages",
     "filtration_pages",
     "verify_einfty_gr",
     "FiltrationViolation",
@@ -223,6 +232,57 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
             if dim > pages[r].get(key, 0):
                 raise AssertionError(f"page dimensions grew at {key}, r={r + 1}")
     return PageTable(pages, r_stab, depth, quantum=F.quantum)
+
+
+def u_adic_pages(C: GradedComplex, k: int,
+                 bars: Optional[Tuple[list, list]] = None) -> Dict[int, PageTable]:
+    """The PageTable of every quantum slice of u_adic_filtration(C, k),
+    read off the barcode of C (homology._barcode, or bars when the caller
+    has it already).
+
+    Over F2[u] the barcode splits C into free generators g and pairs
+    d x = u^a y.  The splitting is F2[u]-linear, so it keeps the u-adic
+    filtration and the pages split with it.  The element u^m g of a
+    generator at (i, q_g) sits in the slice j = q_g - 2m at level k-1-m.
+    For a pair and every m with m + a < k, d_a joins u^m x (level k-1-m)
+    to u^(m+a) y (level k-1-m-a), and both are gone from E_(a+1) on; every
+    other element survives to E_infty.
+    """
+    if k < 1:
+        raise ValueError("truncation order k must be >= 1")
+    free, pairs = _barcode(C) if bars is None else bars
+    e0: Dict[int, Dict[Tuple[int, int], int]] = {}
+    # slice -> page index -> the positions losing one dimension there
+    gone: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
+    gens = (free + [(i, qx) for i, qx, _ in pairs]
+            + [(i + 1, qy) for i, _, qy in pairs])
+    for i, q in gens:
+        for m in range(k):
+            page = e0.setdefault(q - 2 * m, {})
+            key = (k - 1 - m, i - k + 1 + m)
+            page[key] = page.get(key, 0) + 1
+    for i, qx, qy in pairs:
+        a = (qy - qx) // 2
+        for m in range(k - a):
+            p = k - 1 - m
+            gone.setdefault(qx - 2 * m, {}).setdefault(a + 1, []).extend(
+                ((p, i - p), (p - a, i + 1 - p + a)))
+    out: Dict[int, PageTable] = {}
+    for j in sorted(e0):
+        page = e0[j]
+        levels = [p for p, _ in page]
+        depth = max(levels) - min(levels)
+        pages = [page]
+        for r in range(1, depth + 2):
+            page = dict(page)
+            for key in gone.get(j, {}).get(r, ()):
+                page[key] -= 1
+                if not page[key]:
+                    del page[key]
+            pages.append(page)
+        r_stab = next(r for r, page in enumerate(pages) if page == pages[-1])
+        out[j] = PageTable(pages, r_stab, depth, quantum=j)
+    return out
 
 
 class GrReport:

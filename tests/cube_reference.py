@@ -4,16 +4,31 @@ builders: resolve every state, classify every edge with
 the edge maps into `SparseMat` entries through generator index dicts.  The
 cube pushes dict labelings through `khcube.apply_edge_map`; the cover model
 turns the transition's circle ids into positions and pushes each monomial
-through `brcover.edge_map_brcover`, keyed by (state, monomial) pairs.
+through `brcover.edge_map_brcover`, keyed by (state, monomial) pairs, with
+each smoothing's circles and pointed position held in a `VertexGroup`.
 
 Each function returns (generator sort keys per degree, differential per
 degree as (rows, cols, {(row, col): coefficient bits})).
 """
 
-from khbn.brcover import VertexGroup, edge_map_brcover, phi
+from khbn.brcover import edge_map_brcover, phi
 from khbn.khcube import PLUS, Generator, apply_edge_map
 from khbn.linkdiag import Merge, edge_transition, resolve
 from khbn.ringalg import RingElem, SparseMat
+
+
+class VertexGroup:
+    """Exterior-algebra data of one smoothing: `pointed` is the position of
+    the pointed circle in the sorted circle ids, and monomials are bitmasks
+    over the other circles."""
+
+    __slots__ = ("state", "circle_ids", "pointed", "rank")
+
+    def __init__(self, state, circle_ids, pointed):
+        self.state = tuple(state)
+        self.circle_ids = tuple(circle_ids)
+        self.pointed = self.circle_ids.index(pointed)
+        self.rank = 1 << (len(circle_ids) - 1)
 
 
 def _states(n):

@@ -1,8 +1,8 @@
 import pytest
 
-from cube_reference import reference_e1
-from khbn.brcover import (VertexGroup, build_e1_complex, edge_map_brcover,
-                          phi, verify_theorem_main)
+from cube_reference import VertexGroup, reference_e1
+from khbn.brcover import (build_e1_complex, edge_map_brcover, phi,
+                          verify_theorem_main)
 from khbn.homology import ModuleDecomp, bigraded_homology
 from khbn.khcube import BasepointMissing, build_complex, verify_d_squared
 from khbn.linkdiag import (Merge, Split, _arc_positions, _classify_edge,

@@ -271,6 +271,25 @@ def test_sseq_output():
     assert "E_inf vs gr(H): ok" in r.output
 
 
+def test_sseq_checks_barcode_pages(monkeypatch):
+    """The E_inf = gr check reads gr(H) from cycle spans, not from the
+    barcode: a read-off that loses one E_inf element must be caught."""
+    read_off = cli.u_adic_pages
+
+    def drop_one(*args):
+        tables = read_off(*args)
+        einf = next(P.einfty() for P in tables.values() if P.einfty())
+        key = next(iter(einf))
+        einf[key] -= 1
+        return tables
+
+    monkeypatch.setattr(cli, "u_adic_pages", drop_one)
+    assert run("verify", "sseq", "--name", "trefoil_L").exit_code == 1
+    r = run("sseq", "--name", "trefoil_L")
+    assert r.exit_code == 1
+    assert "MISMATCH" in r.output
+
+
 def test_help_screens():
     assert run("--help").exit_code == 0
     for sub in ("compute", "verify", "sseq"):

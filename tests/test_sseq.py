@@ -8,7 +8,8 @@ from khbn.homology import ModuleDecomp, bigraded_homology
 from khbn.khcube import build_complex
 from khbn.linkdiag import from_braid, load_link_table, parse_pd
 from khbn.sseq import (FilteredComplex, FiltrationViolation,
-                       filtration_pages, u_adic_filtration, verify_einfty_gr)
+                       filtration_pages, u_adic_filtration, u_adic_pages,
+                       verify_einfty_gr)
 
 
 def two_step():
@@ -123,12 +124,46 @@ def test_gr_check_detects_corruption():
     assert all(rep.mismatches for rep in failing)
 
 
+def _fields(P):
+    return P.pages, P.r_stab, P.depth, P.quantum
+
+
+def test_barcode_pages_match_filtration_pages():
+    """The barcode read-off against the general-complex pages on every
+    quantum slice of every bundled entry: unreduced at k = 1..4 and reduced
+    at its first arc at k = 2, 3.  knot_9_14 and torus_2_8_R stop at k = 3
+    unreduced: their k = 4 pages alone cost about two thirds as much as
+    the rest of the test."""
+    for name, (pd, _) in load_link_table().items():
+        D = parse_pd(pd)
+        top = 3 if name in ("knot_9_14", "torus_2_8_R") else 4
+        runs = [(build_complex(D, force=True), range(1, top + 1)),
+                (build_complex(D, reduced=True, basepoint=D.arcs[0],
+                               force=True), (2, 3))]
+        for C, ks in runs:
+            for k in ks:
+                got = u_adic_pages(C, k)
+                want = {j: filtration_pages(F)
+                        for j, F in u_adic_filtration(C, k).items()}
+                assert sorted(got) == sorted(want), (name, C.reduced, k)
+                for j, P in want.items():
+                    assert _fields(got[j]) == _fields(P), (name, C.reduced, k, j)
+
+
+def _golden(P):
+    """r_stab and the pages E_0 .. E_r_stab in golden_pages.json's form."""
+    return {"r_stab": P.r_stab,
+            "pages": [{f"{p},{q}": d for (p, q), d in page.items()}
+                      for page in P.pages[:P.r_stab + 1]]}
+
+
 def test_golden_pages():
     """Every bundled entry up to 8 crossings, unreduced at k = 2 and 3 and
     reduced at k = 2 at its first arc: r_stab and the pages E_0 .. E_r_stab
     of every quantum slice against golden_pages.json (captured with the
     F2Mat row-matrix implementation that filtration_pages had before it
-    read bitmask columns, on one truncated build per k).  Here one build per
+    read bitmask columns, on one truncated build per k), from
+    filtration_pages and from the barcode read-off.  Here one build per
     flavour serves every k."""
     with open(os.path.join(os.path.dirname(__file__), "golden_pages.json")) as fh:
         golden = json.load(fh)
@@ -142,13 +177,11 @@ def test_golden_pages():
                   "k2_reduced": (build_complex(D, reduced=True,
                                                basepoint=D.arcs[0]), 2),
                   "k3": (full, 3)}
-        got = {}
+        got, read = {}, {}
         for flavour, (C, k) in builds.items():
-            got[flavour] = {}
-            for j, F in u_adic_filtration(C, k).items():
-                P = filtration_pages(F)
-                got[flavour][str(j)] = {
-                    "r_stab": P.r_stab,
-                    "pages": [{f"{p},{q}": d for (p, q), d in page.items()}
-                              for page in P.pages[:P.r_stab + 1]]}
+            got[flavour] = {str(j): _golden(filtration_pages(F))
+                            for j, F in u_adic_filtration(C, k).items()}
+            read[flavour] = {str(j): _golden(P)
+                             for j, P in u_adic_pages(C, k).items()}
         assert got == want, name
+        assert read == want, name
