@@ -206,26 +206,41 @@ def _print_table(report: dict) -> None:
     click.echo(f"euler: {report['euler']}")
 
 
-def _read_cache(path: str) -> Optional[dict]:
-    """The report cached at path; None when absent, unreadable or corrupt."""
+def _int_rows(rows, width: int) -> bool:
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and len(r) == width
+        and all(type(x) is int for x in r) for r in rows)
+
+
+def _read_cache(path: str) -> Optional[Tuple[list, list]]:
+    """The barcode (free, pairs) cached at path; None when absent,
+    unreadable, or not of the shape _write_cache writes: free a list of
+    int pairs (i, q), pairs a list of int triples (i, q_x, q_y) of gap
+    (q_y - q_x)/2 >= 1."""
     try:
         with open(path) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError):
+            entry = json.load(fh)
+    except (OSError, ValueError, RecursionError):
         return None
-    if isinstance(report, dict) and report.get("schema_version") == SCHEMA_VERSION:
-        return report
-    return None
+    if not isinstance(entry, dict):
+        return None
+    free, pairs = entry.get("free"), entry.get("pairs")
+    if not (_int_rows(free, 2) and _int_rows(pairs, 3)):
+        return None
+    if any(qy - qx < 2 or (qy - qx) % 2 for _, qx, qy in pairs):
+        return None
+    return [tuple(g) for g in free], [tuple(p) for p in pairs]
 
 
-def _write_cache(path: str, report: dict) -> None:
+def _write_cache(path: str, bars: Tuple[list, list]) -> None:
     """Write through a temporary file in the same directory and rename it
     into place, so a reader sees the old entry or the whole new one."""
+    free, pairs = bars
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(tmp, "w") as fh:
-            fh.write(_dump_json(report) + "\n")
+            fh.write(_dump_json({"free": free, "pairs": pairs}) + "\n")
         os.replace(tmp, path)
     except OSError as e:
         click.echo(f"cache not written: {e}", err=True)
@@ -264,7 +279,7 @@ def _diagram_options(f):
               default="json", show_default=True)
 @click.option("--force", is_flag=True, help="lift the 14-crossing guard")
 @click.option("--cache-dir", default=None,
-              help="directory of cached reports (also read from KHBN_CACHE_DIR)")
+              help="directory of cached barcodes (also read from KHBN_CACHE_DIR)")
 def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
             fmt, force, cache_dir) -> None:
     """Compute one invariant of one diagram."""
@@ -291,36 +306,46 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
             raise click.UsageError("--basepoint only makes sense with --reduced")
         bp = _default_basepoint(D, basepoint) if reduced else None
 
+    # Every Khovanov flavour is read off the reduced cube's barcode at one
+    # marked arc: over F2, unreduced = reduced (+) reduced{q-2} (Wigderson,
+    # arXiv:1501.03136; Shumakovitch, arXiv:math/0405474 for k = 1).
+    model = "e1" if invariant == "brcover-e2" else "cube"
+    arc = D.arcs[0] if bp is None else bp
     cache_dir = cache_dir or os.environ.get("KHBN_CACHE_DIR")
     cache_path = None
-    report = None
+    bars = None
     if cache_dir:
         key = _dump_json({"schema_version": SCHEMA_VERSION, "khbn": __version__,
-                          "sha256": _diagram_hash(D), "invariant": invariant,
-                          "k": k, "reduced": reduced, "basepoint": bp})
+                          "sha256": _diagram_hash(D), "model": model, "arc": arc})
         cache_path = os.path.join(
             cache_dir, hashlib.sha256(key.encode()).hexdigest() + ".json")
-        report = _read_cache(cache_path)
-        if report is not None:
+        bars = _read_cache(cache_path)
+        if bars is not None:
             click.echo(f"cache hit: {cache_path}", err=True)
 
-    if report is None:
+    if bars is None:
         t0 = time.perf_counter()
         try:
-            if invariant == "brcover-e2":
+            if model == "e1":
                 if D.n > 14 and not force:
                     raise ResourceLimit(f"{D.n} crossings")
-                C = build_e1_complex(D, bp)
+                C = build_e1_complex(D, arc)
             else:
-                C = build_complex(D, reduced=reduced, basepoint=bp, force=force)
+                C = build_complex(D, reduced=True, basepoint=arc, force=force)
         except ResourceLimit as e:
             click.echo(f"refused: {e}; rerun with --force", err=True)
             sys.exit(3)
-        decomp = bigraded_homology(C, k)
-        report = _invariant_report(D, invariant, k, reduced, bp, decomp)
+        free, pairs = _barcode(C)
+        # a pair of gap 0 gives no tower at any k
+        bars = (free, [(i, qx, qy) for i, qx, qy in pairs if qy > qx])
         click.echo(f"computed in {time.perf_counter() - t0:.3f}s", err=True)
         if cache_path:
-            _write_cache(cache_path, report)
+            _write_cache(cache_path, bars)
+
+    decomp = bigraded_homology(None, k, bars)
+    if model == "cube" and not reduced:
+        decomp = decomp.direct_sum(decomp.shift_quantum(-2))
+    report = _invariant_report(D, invariant, k, reduced, bp, decomp)
 
     if fmt == "json":
         click.echo(_dump_json(report))
@@ -350,20 +375,17 @@ def _check_triangle(D: Diagram, reduced: bool, bp: Optional[int]) -> Tuple[bool,
 
 
 def _check_splitting(D: Diagram, k: int) -> Tuple[bool, str]:
+    """The direct unreduced module against reduced (+) reduced{q-2}, the
+    identity that compute derives every unreduced report from."""
     un = bigraded_homology(build_complex(D, force=True), k)
     red = bigraded_homology(build_complex(
         D, reduced=True, basepoint=D.arcs[0], force=True), k)
-    lhs = un.f2_dimensions()
-    rhs: Dict[Tuple[int, int], int] = {}
-    for (i, j), d in red.f2_dimensions().items():
-        rhs[(i, j)] = rhs.get((i, j), 0) + d
-        rhs[(i, j - 2)] = rhs.get((i, j - 2), 0) + d
-    rhs = {bd: d for bd, d in rhs.items() if d}
-    if lhs == rhs:
+    split = red.direct_sum(red.shift_quantum(-2))
+    if un == split:
         return True, "unreduced = reduced (x) (1 + q^-2)"
-    bad = sorted(set(lhs) ^ set(rhs) | {bd for bd in set(lhs) & set(rhs)
-                                        if lhs[bd] != rhs[bd]})
-    return False, f"dimension mismatch at {bad[0]}"
+    bad = min(bd for bd in set(un.table) | set(split.table)
+              if un.table.get(bd) != split.table.get(bd))
+    return False, f"module mismatch at {bad}"
 
 
 def _sample_arcs(D: Diagram, limit: int = 8) -> List[int]:

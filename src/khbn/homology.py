@@ -153,17 +153,17 @@ def _barcode(C: GradedComplex) -> Tuple[List[Tuple[int, int]],
     return free, pairs
 
 
-def bigraded_homology(C: GradedComplex, k: int,
+def bigraded_homology(C: Optional[GradedComplex], k: int,
                       bars: Optional[Tuple[list, list]] = None) -> ModuleDecomp:
     """Homology of C over F2[u]/u^k as multiplicities of cyclic u-towers
     per bidegree.
 
     Read off the barcode at truncation order k (_barcode(C), or bars when
-    the caller has it already): an unpaired generator at
-    (i, q) is a tower of length k topped there; a pair (i, q_x, q_y) with
-    a = (q_y - q_x)/2 >= 1 gives two towers of length min(a, k), topped at
-    (i+1, q_y) and at (i, q_x - 2 max(k - a, 0)); a pair with a = 0 gives
-    nothing.
+    the caller has it already, in which case C may be None): an unpaired
+    generator at (i, q) is a tower of length k topped there; a pair
+    (i, q_x, q_y) with a = (q_y - q_x)/2 >= 1 gives two towers of length
+    min(a, k), topped at (i+1, q_y) and at (i, q_x - 2 max(k - a, 0)); a
+    pair with a = 0 gives nothing.
     """
     if k < 1:
         raise ValueError("truncation order k must be >= 1")

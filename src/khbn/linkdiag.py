@@ -112,12 +112,6 @@ class Diagram:
         return Diagram(self.crossings, self.signs, self._over_in_slots,
                        self.components, arc)
 
-    def component_of(self, arc: int) -> int:
-        for i, comp in enumerate(self.components):
-            if arc in comp:
-                return i
-        raise DiagramError(f"arc {arc} not in diagram")
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Diagram)
                 and self.crossings == other.crossings

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import khbn.cli as cli
+from khbn.homology import ModuleDecomp
 
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
 
@@ -86,20 +87,20 @@ def test_compute_cache_roundtrip(tmp_path, monkeypatch):
             "--format", "json", "--cache-dir", str(tmp_path))
     cold = run(*args)
     assert cold.exit_code == 0
-    assert list(tmp_path.iterdir())
+    (entry,) = tmp_path.iterdir()
+    written = entry.read_bytes()
     warm = run(*args)
     assert warm.exit_code == 0
     assert warm.stdout == cold.stdout
     assert "cache hit" in warm.stderr
-    # a corrupt entry is a miss, and the recomputed report replaces it
-    (entry,) = tmp_path.iterdir()
+    # a corrupt entry is a miss, and the recomputed barcode replaces it
     entry.write_text("{not json")
     again = run(*args)
     assert again.exit_code == 0, again.output
     assert again.stdout == cold.stdout
     assert "cache hit" not in again.stderr
     assert [p.name for p in tmp_path.iterdir()] == [entry.name]
-    assert json.loads(entry.read_text()) == json.loads(cold.stdout)
+    assert entry.read_bytes() == written
     assert "cache hit" in run(*args).stderr
     # the key carries the package version
     monkeypatch.setattr(cli, "__version__", "0.0.0-other")
@@ -114,6 +115,63 @@ def test_compute_cache_roundtrip(tmp_path, monkeypatch):
     assert r.exit_code == 0, r.output
     assert r.stdout == cold.stdout
     assert "cache not written" in r.stderr
+
+
+def _count_builds(monkeypatch):
+    calls = []
+    build = cli.build_complex
+
+    def counted(D, **kw):
+        calls.append(kw)
+        return build(D, **kw)
+
+    monkeypatch.setattr(cli, "build_complex", counted)
+    return calls
+
+
+def test_unreduced_compute_builds_the_reduced_cube_once(monkeypatch):
+    calls = _count_builds(monkeypatch)
+    r = run("compute", "--name", "knot_5_2", "--invariant", "bn2")
+    assert r.exit_code == 0, r.output
+    assert len(calls) == 1 and calls[0]["reduced"] is True
+
+
+FLAVOURS = (["--invariant", "kh"], ["--invariant", "bn2"],
+            ["--invariant", "bnk", "--k", "3"], ["--invariant", "bn2", "--reduced"])
+
+
+def test_one_cache_entry_serves_every_flavour(tmp_path, monkeypatch):
+    """kh, bn2, bnk 3 and reduced bn2 of one diagram are all read off one
+    cached barcode: one build, one entry, the uncached outputs."""
+    base = ("compute", "--name", "figure8")
+    plain = [run(*base, *f).stdout for f in FLAVOURS]
+    calls = _count_builds(monkeypatch)
+    for f, want in zip(FLAVOURS, plain):
+        r = run(*base, *f, "--cache-dir", str(tmp_path))
+        assert r.exit_code == 0, r.output
+        assert r.stdout == want
+    assert len(calls) == 1
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_wrong_shaped_cache_entry_is_a_miss(tmp_path):
+    """Valid JSON of the wrong shape, or JSON nested past the parser's
+    recursion limit, is a miss in every format: the output is the uncached
+    one and the entry is rewritten."""
+    base = ("compute", "--name", "trefoil_L", "--invariant", "bn2")
+    assert run(*base, "--cache-dir", str(tmp_path)).exit_code == 0
+    (entry,) = tmp_path.iterdir()
+    written = entry.read_bytes()
+    for bad in ('{}', '{"schema_version": 1}',
+                '{"free": [["0", "-1"]], "pairs": []}', "[" * 100000):
+        for fmt in ("json", "table", "poincare"):
+            want = run(*base, "--format", fmt)
+            entry.write_text(bad)
+            r = run(*base, "--format", fmt, "--cache-dir", str(tmp_path))
+            assert r.exit_code == 0, (bad, fmt, r.output)
+            assert r.stdout == want.stdout, (bad, fmt)
+            assert "cache hit" not in r.stderr
+            assert entry.read_bytes() == written
 
 
 def test_compute_brcover_e2():
@@ -261,6 +319,24 @@ def test_verify_flags_a_false_pair(monkeypatch):
     r = run("verify", "reidemeister", "--all-table")
     assert r.exit_code == 1
     assert "counterexample" in r.output
+
+
+def test_verify_splitting_compares_modules(monkeypatch):
+    """Trading each reduced tower for copies of F2 keeps every F2
+    dimension; the module-level check still fails, at the lowest bidegree
+    where the two modules differ."""
+    read = cli.bigraded_homology
+
+    def flattened(C, k, *rest):
+        M = read(C, k, *rest)
+        if not C.reduced:
+            return M
+        return ModuleDecomp(k, {bd: {1: d} for bd, d in M.f2_dimensions().items()})
+
+    monkeypatch.setattr(cli, "bigraded_homology", flattened)
+    r = run("verify", "splitting", "--name", "trefoil_L")
+    assert r.exit_code == 1
+    assert "FAIL trefoil_L: module mismatch at (0, -5)" in r.output
 
 
 def test_sseq_output():
