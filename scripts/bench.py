@@ -10,12 +10,16 @@ run per side and workload for the per-layer metrics.  The output file holds,
 per workload and end-to-end metric, each side's runs, median and quartiles,
 and the number of pairs the change won; per workload and side, the failed and
 attempted operations summed over the untraced runs; and per workload each
-side's traced per-layer metrics.  Run it on an otherwise idle machine: both
+side's traced per-layer metrics.  It prints each metric's relative change of
+medians, marked "unresolved" where the parent's own spread is wider than
+the metric's bound and "worse" where the change is worse by more than it.
+Run it on an otherwise idle machine: both
 sides share it, one run at a time.
 """
 
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -89,6 +93,23 @@ def summarise(spec, runs, traced):
     return out
 
 
+def verdict(row):
+    """The relative change of the medians, and a mark: "unresolved" when the
+    parent's quartile distance, relative to its median, is wider than the
+    metric's bound, so no change within the bound can be told from noise;
+    else "worse" when the change's median is worse by more than the bound."""
+    b, c = row["base"], row["change"]
+    if b["median"]:
+        rel = (c["median"] - b["median"]) / abs(b["median"])
+        noise = (b["q3"] - b["q1"]) / abs(b["median"])
+    else:
+        rel, noise = (0.0 if c["median"] == 0 else math.inf), 0.0
+    worse = rel if row["better"] == "lower" else -rel
+    if noise > row["bound"]:
+        return rel, "unresolved"
+    return rel, "worse" if worse > row["bound"] else ""
+
+
 def report(summary):
     for name, w in summary.items():
         ops = ", ".join(f"{side} {o['failed']}/{o['attempted']}"
@@ -96,9 +117,12 @@ def report(summary):
         print(f"{name}: correct {w['correct']}, failed/attempted {ops}")
         for metric, row in w["end_to_end"].items():
             b, c = row["base"], row["change"]
+            rel, mark = verdict(row)
             print(f"  {metric:<12} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
                   f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f"  change won {row['change_won']}/{len(b['runs'])}")
+                  f"  {rel:+.1%} (bound {row['bound']:.0%})"
+                  f"  change won {row['change_won']}/{len(b['runs'])}"
+                  + (f"  {mark}" if mark else ""))
 
 
 def main(argv=None):

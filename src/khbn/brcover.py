@@ -119,12 +119,14 @@ def build_e1_complex(D: Diagram, basepoint: Optional[int] = None,
     if bp is None:
         raise BasepointMissing("the model is pointed; pick a basepoint arc")
     states, circles, pointed, edges = walk or _walk(D, bp)
-    monomials = {key: _monomials(*key) for key in set(zip(circles, pointed))}
-    images = ((b, t, partial(edge_map_brcover, edge, pointed[b], pointed[t]))
-              for b, _, t, edge in edges)
+    keys = list(zip(circles, pointed))
+
+    def edge_map(edge, key_from, key_to):
+        return partial(edge_map_brcover, edge, key_from[1], key_to[1])
+
     C = GradedComplex(D, True, 0, *_assemble(
-        D, 0, states, [monomials[key] for key in zip(circles, pointed)],
-        images, DSquaredFailure))
+        D, 0, states, keys, {key: _monomials(*key) for key in set(keys)},
+        edges, edge_map, DSquaredFailure))
     report = verify_d_squared(C, order=2)
     if not report.passed:
         raise DSquaredFailure(f"model differential fails d^2=0: {report.failures}")

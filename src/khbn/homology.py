@@ -193,7 +193,8 @@ def euler_characteristic(M: ModuleDecomp) -> Laurent:
 
 
 # ---------------------------------------------------------------------------
-# the u^0 and u^1 parts of d, quantum slice by quantum slice (khcube._u_slices)
+# the u^0 and u^1 parts of d, quantum slice by quantum slice (C.slices, as
+# khcube._assemble writes them)
 
 def _layers(size, i: int, j: int, k: int) -> List[int]:
     """|S(i, j+2p)| for the layers p = 0..k-1 of the k-layer slice at (i, j)."""

@@ -19,15 +19,20 @@ merge or split comes from the resolutions at its two ends
 (linkdiag._classify_edge), so no edge resolves anything again.  _assemble
 takes each state's kept generators (a state plus a label bitmask here) and
 each edge's images; an image that its target state does not keep
-vanishes, which is the reduced quotient.  Each entry of d is written
-once, untruncated: every entry is u^0 or u^1, as the quantum degrees of
-its two generators fix, so one build is the complex over F2[u] and the
-truncation order k is an argument of the read-offs
-(homology.bigraded_homology, sseq.u_adic_filtration).
-At assembly d is read once into its u^0 part d0 and its u^1 part d1,
-quantum slice by quantum slice (_u_slices), and every read-off and the
-d^2 check use these slices.  d^2 = 0 is checked on every build over F2[u]:
-d0 d0 = 0, d0 d1 + d1 d0 = 0 and d1 d1 = 0, hence d^2 = 0 at every k.
+vanishes, which is the reduced quotient.  Every entry of d is u^0 or u^1,
+as the quantum degrees of its two generators fix, so one build is the
+complex over F2[u] and the truncation order k is an argument of the
+read-offs (homology.bigraded_homology, sseq.u_adic_filtration).
+d is written straight into its u^0 part d0 and its u^1 part d1, quantum
+slice by quantum slice.  An edge map depends only on its signature: the
+edge in circle positions and the kept generators at its two ends.  So each
+distinct edge map becomes one block in state-local coordinates (_block),
+and every edge with that signature adds the block at the slice offsets of
+its two ends.  The homogeneity check (an image's u power is half its
+quantum step), the repeated-write check and the reduced cube's subcomplex
+check run once per block, when it is made.  d^2 = 0 is checked on every
+build over F2[u]: d0 d0 = 0, d0 d1 + d1 d0 = 0 and d1 d1 = 0, hence
+d^2 = 0 at every k.
 """
 
 from __future__ import annotations
@@ -104,22 +109,21 @@ class GradedComplex:
     """Chain complex of free F2[u] modules indexed by homological degree.
 
     A generator of state s sits in degree |s| - offset, where offset is
-    n_minus, or 0 for the cover model.  generators and differential record
-    the basis and d entry by entry, as
-    RingElems of F2[u]/u^2, which holds the entries u^0 and u^1 exactly.
-    slices = (size, cols) is d as _u_slices splits it; every read-off uses
-    the slices.
+    n_minus, or 0 for the cover model.  generators lists the basis per
+    degree, and slices = (size, cols) holds d as _assemble writes it: its
+    u^0 part d0 and its u^1 part d1, quantum slice by quantum slice.  Every
+    read-off and the d^2 check use the slices.  d(i) and differential read
+    the slices back into SparseMats of F2[u]/u^2 entries when called; the
+    library itself never does.
     """
 
-    __slots__ = ("D", "reduced", "offset", "generators", "differential",
-                 "slices")
+    __slots__ = ("D", "reduced", "offset", "generators", "slices")
 
-    def __init__(self, D, reduced, offset, generators, differential, slices):
+    def __init__(self, D, reduced, offset, generators, slices):
         self.D = D
         self.reduced = reduced
         self.offset = offset
         self.generators: Dict[int, List[Generator]] = generators
-        self.differential: Dict[int, SparseMat] = differential
         self.slices = slices
 
     def degrees(self) -> List[int]:
@@ -136,9 +140,37 @@ class GradedComplex:
     def rank(self, i: int) -> int:
         return len(self.generators.get(i, ()))
 
+    def _slots(self, i: int) -> List[Tuple[int, int]]:
+        """(quantum degree, position in its slice) of each generator of
+        degree i."""
+        count: Dict[int, int] = {}
+        out = []
+        for g in self.generators.get(i, ()):
+            j = self.bidegree(g)[1]
+            out.append((j, count.get(j, 0)))
+            count[j] = out[-1][1] + 1
+        return out
+
     def d(self, i: int) -> SparseMat:
-        return self.differential.get(
-            i, SparseMat(self.rank(i + 1), self.rank(i), 2))
+        """d from degree i to i+1, read back from the slices."""
+        cols = self.slices[1]
+        row = {jr: h for h, jr in enumerate(self._slots(i + 1))}
+        elem = (RingElem.one(2), RingElem.u_power(2, 1))
+        entries = {}
+        for g, (j, s) in enumerate(self._slots(i)):
+            for p, part in enumerate(cols[(i, j)]):
+                x = part[s]
+                while x:
+                    low = x & -x
+                    entries[(row[(j + 2 * p, low.bit_length() - 1)], g)] = elem[p]
+                    x ^= low
+        mat = SparseMat(self.rank(i + 1), self.rank(i), 2)
+        mat.entries = entries  # distinct and nonzero by construction
+        return mat
+
+    @property
+    def differential(self) -> Dict[int, SparseMat]:
+        return {i: self.d(i) for i in self.generators}
 
 
 def apply_edge_map(kind, labeling: Dict[int, int], k: int,
@@ -231,51 +263,100 @@ def _walk(D: Diagram, bp: Optional[int]):
     return states, [len(i) for i in ids], pointed, edges
 
 
-def _assemble(D: Diagram, offset: int, states, kept, edges, fault):
-    """The generators, d and its slices of a complex on the cube.
+def _layout(kept) -> Tuple[Dict[int, int], Dict[int, Tuple[int, int]]]:
+    """Where a state's kept generators sit in their quantum slices: the count
+    of each quantum label offset len(lab) - 2 sum(lab), and each local key's
+    (offset, rank among the generators of that offset), in kept order."""
+    count: Dict[int, int] = {}
+    rank: Dict[int, Tuple[int, int]] = {}
+    for key, lab in kept:
+        ql = len(lab) - 2 * sum(lab)
+        rank[key] = (ql, count.get(ql, 0))
+        count[ql] = rank[key][1] + 1
+    return count, rank
 
-    kept[b] lists the generators of state b in order, as (key, label
-    tuple); edges yields (from bits, to bits, images), images(key) being
-    the edge's images of one key as (key, u power).  A generator of state
-    s sits in degree |s| - offset.  Each entry of d is written once, and a
-    second write raises fault; an image whose key the target state does
-    not keep vanishes, which is the projection onto a quotient.
+
+def _block(src, tgt, images, fault, where):
+    """One edge map in state-local coordinates, as groups (source offset,
+    target offset, u power, [(source rank, bitmask over target ranks)]).
+
+    src and tgt are the ranks of _layout at the two ends.  An image that
+    the target does not keep vanishes, which is the projection onto a
+    quotient.  Every edge between two states is its own entry set, so an
+    image written twice can only come from one edge map: it raises fault.
+    An image whose u power is not half its quantum step raises
+    InhomogeneousEntry; the quantum step of an image (ql to qt) is
+    qt + 1 - ql, as the target state has one more 1-smoothing.
+    """
+    groups: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    for key, (ql, s) in src.items():
+        seen = set()
+        for m, p in images(key):
+            hit = tgt.get(m)
+            if hit is None:
+                continue  # the target does not keep m: the quotient drops it
+            if m in seen:
+                raise fault(f"edge map {where} writes image {m} of {key} twice")
+            seen.add(m)
+            qt, r = hit
+            if p not in (0, 1) or qt + 1 - ql != 2 * p:
+                raise InhomogeneousEntry(
+                    f"edge map {where}: image u^{p} {m} of {key} is not"
+                    " u^0 or u^1 = u^(dq/2)")
+            rows = groups.setdefault((ql, qt, p), {})
+            rows[s] = rows.get(s, 0) | 1 << r
+    return [(ql, qt, p, list(rows.items()))
+            for (ql, qt, p), rows in groups.items()]
+
+
+def _assemble(D: Diagram, offset: int, states, keys, kept, edges, edge_map,
+              fault):
+    """The generators and the d0/d1 slices of a complex on the cube.
+
+    keys[b] is the key of state b's kept generators, and kept[key] lists
+    them in order as (local key, label tuple); edges yields (from bits,
+    crossing, to bits, edge) and edge_map(edge, from key, to key) returns
+    the edge's images of one local key as (local key, u power).  A
+    generator of state s sits in degree |s| - offset.  An edge map depends
+    only on that signature, so each distinct one becomes one block
+    (_block, which runs the checks), and every edge adds its block at the
+    slice offsets of its two ends.  The slices are size[(i, j)] = |S(i, j)|
+    and cols[(i, j)] = (d0, d1), where S(i, j) lists the generators of
+    degree i at quantum j in generator order, and d0[s], d1[s] are the
+    images of its s-th generator as bitmasks over the positions of
+    S(i+1, j) and of S(i+1, j+2).
     """
     q_shift = D.n_plus - 2 * D.n_minus
+    layout = {key: _layout(kept[key]) for key in set(keys)}
     generators: Dict[int, List[Generator]] = {}
-    quantum: Dict[int, List[int]] = {}
-    first: List[int] = [0] * len(states)   # index of the state's first generator
-    local: List[Dict[int, int]] = [{} for _ in states]  # kept key -> offset
+    size: Dict[Tuple[int, int], int] = {}
+    first: List[Dict[int, int]] = [{} for _ in states]  # offset -> slice position
     for b in sorted(range(len(states)), key=states.__getitem__):
         w = sum(states[b])
-        gens = generators.setdefault(w - offset, [])
-        qs = quantum.setdefault(w - offset, [])
-        first[b] = len(gens)
-        local[b] = {m: t for t, (m, _) in enumerate(kept[b])}
-        for _, lab in kept[b]:
-            gens.append(Generator(states[b], lab))
-            qs.append(len(lab) - 2 * sum(lab) + w + q_shift)
+        generators.setdefault(w - offset, []).extend(
+            Generator(states[b], lab) for _, lab in kept[keys[b]])
+        at = first[b]
+        for ql, n in layout[keys[b]][0].items():
+            at[ql] = size.get((w - offset, ql + w + q_shift), 0)
+            size[(w - offset, ql + w + q_shift)] = at[ql] + n
+    cols = {key: ([0] * n, [0] * n) for key, n in size.items()}
 
-    differential: Dict[int, SparseMat] = {
-        i: SparseMat(len(generators.get(i + 1, ())), len(gens), 2)
-        for i, gens in generators.items()}
-    elem = (RingElem.one(2), RingElem.u_power(2, 1))
-    for b, t, images in edges:
-        entries = differential[sum(states[b]) - offset].entries
-        # the rows of one edge lie in the block of state t
-        row0, rows = first[t], local[t]
-        for key, off in local[b].items():
-            col = first[b] + off
-            for m, p in images(key):
-                row = rows.get(m)
-                if row is None:
-                    continue  # state t does not keep m: the quotient drops it
-                at = (row0 + row, col)
-                if at in entries:
-                    raise fault(f"entry {at} of d from state {states[b]}"
-                                " written twice")
-                entries[at] = elem[p]
-    return generators, differential, _u_slices(quantum, differential)
+    blocks = {}
+    for b, _, t, edge in edges:
+        sig = (edge, keys[b], keys[t])
+        block = blocks.get(sig)
+        if block is None:
+            block = blocks[sig] = _block(
+                layout[sig[1]][1], layout[sig[2]][1], edge_map(*sig), fault,
+                f"{states[b]} -> {states[t]}")
+        w = sum(states[b])
+        i, j0 = w - offset, w + q_shift
+        src, tgt = first[b], first[t]
+        for ql, qt, p, rows in block:
+            col, o, sh = cols[(i, ql + j0)][p], src[ql], tgt[qt]
+            for s, mask in rows:
+                col[o + s] |= mask << sh
+    return generators, (size, cols)
 
 
 def build_complex(D: Diagram, reduced: bool = False,
@@ -299,67 +380,28 @@ def build_complex(D: Diagram, reduced: bool = False,
     states, circles, pointed, edges = walk or _walk(D, bp)
     # position of the pointed circle, or None when no generator is killed
     killed = pointed if reduced else [None] * len(states)
-    labelings = {key: _labelings(*key) for key in set(zip(circles, killed))}
+    keys = list(zip(circles, killed))
+    kept = {key: _labelings(*key) for key in set(keys)}
 
-    def images():
-        for b, cr, t, edge in edges:
-            pp, pt = killed[b], killed[t]
-            if pp is not None and pp in edge[1]:
-                # the killed span must be a subcomplex, else the quotient
-                # is not a complex: a v_minus at the basepoint stays there
-                for m, _ in _edge_images(*edge, 1 << pp):
-                    if not (m >> pt) & 1:
-                        raise SubcomplexViolation(
-                            f"killed generator leaks at state {states[b]},"
-                            f" crossing {cr}")
-            yield b, t, partial(_edge_images, *edge)
+    def edge_map(edge, key_from, key_to):
+        pp, pt = key_from[1], key_to[1]
+        if pp is not None and pp in edge[1]:
+            # the killed span must be a subcomplex, else the quotient is not
+            # a complex: a v_minus at the basepoint stays there.  This
+            # depends only on the signature, so it runs once per block.
+            for m, _ in _edge_images(*edge, 1 << pp):
+                if not (m >> pt) & 1:
+                    raise SubcomplexViolation(
+                        f"killed generator leaks across edge {edge}")
+        return partial(_edge_images, *edge)
 
     C = GradedComplex(D, reduced, D.n_minus, *_assemble(
-        D, D.n_minus, states,
-        [labelings[key] for key in zip(circles, killed)],
-        images(), SubcomplexViolation))
+        D, D.n_minus, states, keys, kept, edges, edge_map,
+        SubcomplexViolation))
     report = verify_d_squared(C)
     if not report.passed:
         raise SubcomplexViolation(f"d squared nonzero at {report.failures[0]}")
     return C
-
-
-def _u_slices(quantum: Dict[int, List[int]],
-              differential: Dict[int, SparseMat]):
-    """d read once and split into its u^0 part d0 and its u^1 part d1.
-
-    quantum[i][g] is the quantum degree of generator g of degree i, and
-    S(i, j) lists the generators of degree i at quantum j, in generator
-    order.  Returns size[(i, j)] = |S(i, j)| and cols[(i, j)] = (d0, d1),
-    where d0[s] and d1[s] are the images of the s-th generator of S(i, j)
-    as bitmasks over the positions of S(i+1, j) and of S(i+1, j+2).  Every
-    entry must be u^0 or u^1, as its two quantum degrees fix; any other
-    entry raises InhomogeneousEntry.
-    """
-    slot: Dict[int, List[Tuple[int, int]]] = {}  # generator -> (j, position)
-    size: Dict[Tuple[int, int], int] = {}
-    for i, qs in quantum.items():
-        slot[i] = []
-        for j in qs:
-            s = size.get((i, j), 0)
-            size[(i, j)] = s + 1
-            slot[i].append((j, s))
-    cols = {key: ([0] * n, [0] * n) for key, n in size.items()}
-    for i, mat in differential.items():
-        src = [(j, cols[(i, j)], s) for j, s in slot[i]]
-        tgt = [(j, 1 << r) for j, r in slot.get(i + 1, ())]
-        for (h, g), e in mat.entries.items():
-            j, parts, s = src[g]
-            jh, bit = tgt[h]
-            if e.bits != _UNIT_AT.get(jh - j):
-                raise InhomogeneousEntry(
-                    f"d entry {e!r} at degree {i} is not u^0 or u^1 = u^(dq/2)")
-            parts[(jh - j) >> 1][s] |= bit
-    return size, cols
-
-
-# the bits of the entry u^(dq/2) for a quantum step dq of 0 or 2
-_UNIT_AT = {0: 0b01, 2: 0b10}
 
 
 class DSquaredReport:

@@ -602,7 +602,7 @@ def _classify_edge(quad, ids_from, pos_from, ids_to, pos_to):
     to_rest = [t for t in range(len(ids_to)) if t not in dst]
     if [ids_from[t] for t in from_rest] != [ids_to[t] for t in to_rest]:
         raise AssertionError("bystander circle changed arcs across the edge")
-    return merge, src, dst, list(zip(from_rest, to_rest))
+    return merge, src, dst, tuple(zip(from_rest, to_rest))
 
 
 def edge_transition(D: Diagram, state: Sequence[int], crossing: int) -> EdgeTransition:

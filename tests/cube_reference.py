@@ -17,6 +17,30 @@ from khbn.linkdiag import Merge, edge_transition, resolve
 from khbn.ringalg import RingElem, SparseMat
 
 
+# An 8-crossing 4-strand braid closure, drawn once with random.Random(8):
+# large enough that many edges share one edge map, small enough for the
+# reference assembly.
+BRAID_8 = ([2, 2, 2, -1, -3, -2, 3, -3], 4)
+
+
+def differing_arcs(D):
+    """D.arcs[0] and the first arc whose pointed circle sits at another
+    position in some state."""
+    first = _pointed_positions(D, D.arcs[0])
+    for arc in D.arcs[1:]:
+        if _pointed_positions(D, arc) != first:
+            return D.arcs[0], arc
+    raise AssertionError("every arc points at the same circle positions")
+
+
+def _pointed_positions(D, bp):
+    out = []
+    for s in _states(D.n):
+        r = resolve(D, s, bp)
+        out.append(r.circle_ids.index(r.pointed_circle))
+    return out
+
+
 class VertexGroup:
     """Exterior-algebra data of one smoothing: `pointed` is the position of
     the pointed circle in the sorted circle ids, and monomials are bitmasks

@@ -1,13 +1,14 @@
 import pytest
 
-from cube_reference import VertexGroup, reference_e1
+from cube_reference import (BRAID_8, VertexGroup, differing_arcs,
+                            reference_e1)
 from khbn.brcover import (build_e1_complex, edge_map_brcover, phi,
                           verify_theorem_main)
 from khbn.homology import ModuleDecomp, bigraded_homology
 from khbn.khcube import BasepointMissing, build_complex, verify_d_squared
 from khbn.linkdiag import (Merge, Split, _arc_positions, _classify_edge,
-                           edge_transition, load_link_table, parse_pd,
-                           resolve)
+                           edge_transition, from_braid, load_link_table,
+                           parse_pd, resolve)
 from khbn.ringalg import RingElem, SparseMat
 
 TABLE = load_link_table()
@@ -234,17 +235,25 @@ def test_identification_small_links():
 
 def test_e1_builder_matches_reference_assembly():
     """Generator order and every entry of the model's d, against the direct
-    assembly through edge_transition (tests/cube_reference.py)."""
+    assembly through edge_transition (tests/cube_reference.py), at every
+    arc of the small entries and at two arcs of a braid whose pointed
+    circles differ, where blocks shared across edges are keyed apart."""
+    cases = []
     for name, (pd, _) in sorted(TABLE.items()):
         D = parse_pd(pd)
-        if D.n > 6:
-            continue
-        C = build_e1_complex(D, D.arcs[0])
-        got = ({w: [g.sort_key() for g in gens]
-                for w, gens in C.generators.items()},
-               {w: (m.rows, m.cols, {key: e.bits for key, e in m.entries.items()})
-                for w, m in C.differential.items()})
-        assert got == reference_e1(D, D.arcs[0]), name
+        if D.n <= 6:
+            cases.append((name, D, D.arcs if D.n <= 5 else D.arcs[:1]))
+    D = from_braid(*BRAID_8)
+    cases.append(("braid", D, differing_arcs(D)))
+    for name, D, arcs in cases:
+        for bp in arcs:
+            C = build_e1_complex(D, bp)
+            got = ({w: [g.sort_key() for g in gens]
+                    for w, gens in C.generators.items()},
+                   {w: (m.rows, m.cols,
+                        {key: e.bits for key, e in m.entries.items()})
+                    for w, m in C.differential.items()})
+            assert got == reference_e1(D, bp), (name, bp)
 
 
 def test_identification_sees_a_broken_map(monkeypatch):

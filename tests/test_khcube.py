@@ -6,13 +6,12 @@ import pytest
 import khbn.brcover as brcover
 import khbn.khcube as khcube
 import khbn.linkdiag as linkdiag
-from cube_reference import reference_complex
+from cube_reference import BRAID_8, differing_arcs, reference_complex
 from khbn.khcube import (BasepointMissing, Generator, InhomogeneousEntry,
-                         MINUS, PLUS, ResourceLimit, _u_slices,
+                         MINUS, PLUS, ResourceLimit, _assemble,
                          apply_edge_map, build_complex, verify_d_squared)
 from khbn.linkdiag import (Merge, Split, from_braid, load_link_table,
                            parse_pd, resolve)
-from khbn.ringalg import RingElem, SparseMat
 
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
 
@@ -184,13 +183,22 @@ def test_pointed_circle_tracked():
 
 def test_builder_matches_reference_assembly():
     """Generator order and every entry of d, against the direct assembly
-    through edge_transition and apply_edge_map (tests/cube_reference.py)."""
+    through edge_transition and apply_edge_map (tests/cube_reference.py).
+    The builder makes one block per distinct edge map, keyed by the edge
+    and the kept generators at its ends; every arc of the small entries
+    and two arcs of the braid whose pointed circles differ would catch a
+    block reused where its key is too loose."""
+    cases = []
     for name, (pd, _) in sorted(load_link_table().items()):
         D = parse_pd(pd)
-        if D.n > 7:
-            continue
-        for reduced in (False, True):
-            bp = D.arcs[0] if reduced else None
+        if D.n <= 7:
+            arcs = D.arcs if D.n <= 5 else D.arcs[:1]
+            cases.append((name, D, [None] + list(arcs)))
+    D = from_braid(*BRAID_8)
+    cases.append(("braid", D, [None, *differing_arcs(D)]))
+    for name, D, arcs in cases:
+        for bp in arcs:
+            reduced = bp is not None
             C = build_complex(D, reduced=reduced, basepoint=bp)
             got = ({i: [g.sort_key() for g in gens]
                     for i, gens in C.generators.items()},
@@ -198,8 +206,7 @@ def test_builder_matches_reference_assembly():
                         {key: e.bits for key, e in m.entries.items()})
                     for i, m in C.differential.items()})
             # every entry is u^0 or u^1, so k = 2 truncates nothing
-            assert got == reference_complex(D, 2, reduced, bp), \
-                (name, reduced)
+            assert got == reference_complex(D, 2, reduced, bp), (name, bp)
 
 
 def test_builders_resolve_each_state_once(monkeypatch):
@@ -236,14 +243,21 @@ def test_builders_resolve_each_state_once(monkeypatch):
 
 def slice_check(quantum, entries, order=3):
     """verify_d_squared on a hand-made complex: quantum degrees per degree
-    and the entries of d as {degree: {(row, col): u power}}."""
-    differential = {
-        i: SparseMat(len(quantum.get(i + 1, ())), len(qs), 2,
-                     {key: RingElem.u_power(2, p)
-                      for key, p in entries.get(i, {}).items()})
-        for i, qs in quantum.items()}
-    C = SimpleNamespace(slices=_u_slices(quantum, differential))
-    return verify_d_squared(C, order)
+    and the entries of d as {degree: {(row, col): u power}}, written into
+    (size, cols) slices as the builder lays them out."""
+    slot, size = {}, {}
+    for i, qs in quantum.items():
+        for g, j in enumerate(qs):
+            slot[(i, g)] = (j, size.get((i, j), 0))
+            size[(i, j)] = slot[(i, g)][1] + 1
+    cols = {key: ([0] * n, [0] * n) for key, n in size.items()}
+    for i, block in entries.items():
+        for (h, g), p in block.items():
+            j, s = slot[(i, g)]
+            jh, r = slot[(i + 1, h)]
+            assert jh == j + 2 * p, "hand-made entries must be homogeneous"
+            cols[(i, j)][p][s] |= 1 << r
+    return verify_d_squared(SimpleNamespace(slices=(size, cols)), order)
 
 
 def test_d_squared_check_fails_loudly():
@@ -261,12 +275,33 @@ def test_d_squared_check_fails_loudly():
     rep = slice_check(quantum, entries)
     assert not rep.passed and rep.failures == [(1, (1, 0))]
     assert slice_check(quantum, entries, order=2).passed
-    # one entry u^1 between equal quantum degrees breaks homogeneity, and
-    # so does an entry 1 + u; the slice reader refuses both
-    with pytest.raises(InhomogeneousEntry, match="at degree 0"):
-        slice_check({0: [0, 2], 1: [2, 2]},
-                    {0: {(1, 0): 1, (0, 1): 0, (1, 1): 1}})
-    differential = {0: SparseMat(1, 1, 2, {(0, 0): RingElem(2, 0b11)}),
-                    1: SparseMat(0, 1, 2)}
+
+
+class EdgeFault(AssertionError):
+    pass
+
+
+def assemble_one_edge(images):
+    """_assemble on a one-crossing cube, state 0 with one circle and state 1
+    with two, all generators kept, and the hand-made edge map images."""
+    D = SimpleNamespace(n_plus=0, n_minus=0)
+    kept = {1: [(m, (m,)) for m in range(2)],
+            2: [(m, (m & 1, m >> 1)) for m in range(4)]}
+    return _assemble(D, 0, [(0,), (1,)], [1, 2], kept, [(0, 0, 1, "edge")],
+                     lambda edge, key_from, key_to: images, EdgeFault)
+
+
+def test_writer_refuses_a_bad_edge_map():
+    # the split, as _edge_images gives it, assembles: v+ -> v+v- + v-v+ + u v+v+
+    split = {0: [(2, 0), (1, 0), (0, 1)], 1: [(3, 0)]}
+    size, cols = assemble_one_edge(split.__getitem__)[1]
+    assert cols[(0, 1)] == ([0b11], [0b1]) and cols[(0, -1)] == ([0b1], [0])
+    # v+ -> v+v+ is a quantum step of 2, which needs u^1, not u^0
     with pytest.raises(InhomogeneousEntry):
-        _u_slices({0: [0], 1: [2]}, differential)
+        assemble_one_edge({0: [(0, 0)], 1: []}.__getitem__)
+    # v- -> u^2 v+v+ matches its step of 4, but u^2 is in neither slice
+    with pytest.raises(InhomogeneousEntry):
+        assemble_one_edge({0: [], 1: [(0, 2)]}.__getitem__)
+    # one image written twice by the edge map raises the given fault
+    with pytest.raises(EdgeFault, match="twice"):
+        assemble_one_edge({0: [(1, 0), (1, 0)], 1: []}.__getitem__)
