@@ -417,14 +417,20 @@ def _check_brcover(D: Diagram, bp: int) -> Tuple[bool, str]:
     return False, f"module mismatch: {rep.module_failures[0]}"
 
 
-def _check_sseq(D: Diagram, k: int, reduced: bool,
-                bp: Optional[int]) -> Tuple[bool, str]:
-    C = build_complex(D, reduced=reduced, basepoint=bp, force=True)
+def _einfty_checks(C, k: int):
+    """(j, page table, E_inf = gr report) for every quantum slice j of C
+    truncated at u^k, the pages and the module read off one barcode."""
     bars = _barcode(C)
     M = bigraded_homology(C, k, bars)
     tables = u_adic_pages(C, k, bars)
     for j, F in sorted(u_adic_filtration(C, k).items()):
-        rep = verify_einfty_gr(F, M, tables[j])
+        yield j, tables[j], verify_einfty_gr(F, M, tables[j])
+
+
+def _check_sseq(D: Diagram, k: int, reduced: bool,
+                bp: Optional[int]) -> Tuple[bool, str]:
+    C = build_complex(D, reduced=reduced, basepoint=bp, force=True)
+    for j, _, rep in _einfty_checks(C, k):
         if not rep.passed:
             return False, f"E_inf != gr at quantum {j}: {rep.mismatches[0]}"
     return True, "E_inf = gr(H) at every position"
@@ -592,15 +598,11 @@ def sseq_cmd(pd, braid, strands, name, k, reduced, basepoint, force) -> None:
     except ResourceLimit as e:
         click.echo(f"refused: {e}; rerun with --force", err=True)
         sys.exit(3)
-    bars = _barcode(C)
-    M = bigraded_homology(C, k, bars)
-    tables = u_adic_pages(C, k, bars)
     flavour = "reduced" if reduced else "unreduced"
     click.echo(f"pd: {render(D)}")
     click.echo(f"filtration of the k={k} complex, {flavour}")
     all_ok = True
-    for j, F in sorted(u_adic_filtration(C, k).items()):
-        table = tables[j]
+    for j, table, rep in _einfty_checks(C, k):
         click.echo(f"quantum {j}: stabilizes at r={table.r_stab},"
                    f" E_inf total {table.page_total(len(table.pages) - 1)}")
         for r in range(table.r_stab + 1):
@@ -608,7 +610,6 @@ def sseq_cmd(pd, braid, strands, name, k, reduced, basepoint, force) -> None:
                               for (p, q), d in sorted(table.pages[r].items()) if d)
             click.echo(f"  E_{r}: total={table.page_total(r)}"
                        + (f"  {cells}" if cells else "  empty"))
-        rep = verify_einfty_gr(F, M, table)
         click.echo(f"  E_inf vs gr(H): {'ok' if rep.passed else 'MISMATCH'}"
                    f" ({rep.checked} positions)")
         if not rep.passed:

@@ -425,17 +425,23 @@ def verify_d_squared(C, order: int = 3) -> DSquaredReport:
     as (degree, its bidegree).
     """
     size, cols = C.slices
-    # d from S(i, j) into S(i+1, j) + S(i+1, j+2): the u^1 rows sit above
-    # the u^0 rows, so applying it twice stacks the parts of d^2 as layers
-    both = {(i, j): [a | b << size.get((i + 1, j), 0) for a, b in zip(*parts)]
-            for (i, j), parts in cols.items()}
+    by_degree: Dict[int, List[int]] = {}
+    for i, j in sorted(cols):
+        by_degree.setdefault(i, []).append(j)
     failures = []
-    for (i, j), (a0, a1) in sorted(cols.items()):
-        layers = [size.get((i + 2, j + 2 * p), 0) for p in range(order)]
-        mask = (1 << sum(layers)) - 1
-        e0, e1 = both.get((i + 1, j), ()), both.get((i + 1, j + 2), ())
-        for x0, x1 in zip(a0, a1):
-            if (_apply(e0, x0) ^ _apply(e1, x1) << layers[0]) & mask:
-                failures.append((i, (i, j)))
-                break
+    for i, js in sorted(by_degree.items()):
+        # d from S(i+1, j) into S(i+2, j) + S(i+2, j+2), for degree i+1
+        # only: the u^1 rows sit above the u^0 rows, so applying it after
+        # degree i's d stacks the parts of d^2 as layers
+        both = {j: [a | b << size.get((i + 2, j), 0) for a, b in zip(*cols[(i + 1, j)])]
+                for j in by_degree.get(i + 1, ())}
+        for j in js:
+            a0, a1 = cols[(i, j)]
+            layers = [size.get((i + 2, j + 2 * p), 0) for p in range(order)]
+            mask = (1 << sum(layers)) - 1
+            e0, e1 = both.get(j, ()), both.get(j + 2, ())
+            for x0, x1 in zip(a0, a1):
+                if (_apply(e0, x0) ^ _apply(e1, x1) << layers[0]) & mask:
+                    failures.append((i, (i, j)))
+                    break
     return DSquaredReport(not failures, failures)

@@ -2,17 +2,18 @@
 
 RingElem and SparseMat record a complex's d entry by entry, over
 F2[u]/u^2, which holds the cube's entries u^0 and u^1 exactly and is the
-cover model's ring F2[Q]/Q^2.  Only khcube's assembler writes them for
-the two builders; the edge maps return (mask, power) pairs, and the
-reference assemblies of the tests sum into SparseMats.  A matrix over F2 is a list of
-column bitmasks, which _apply applies to a vector.  Echelon is the
-package's incremental GF(2) eliminator on bitmask vectors: its rows can
+cover model's ring F2[Q]/Q^2.  No build writes them: khcube's
+GradedComplex.d reads its slices back into SparseMats on request, and
+the reference assemblies of the tests sum into them.  A matrix over F2 is
+a list of column bitmasks, which _apply applies to a vector.  Echelon is
+the package's one GF(2) eliminator on bitmask vectors: its rows can
 carry tags, so one column reduction gives a kernel (kernel) and coords reads
 quotient coordinates off it.  The spectral-sequence pages, the E_inf = gr
-check and the homology of the exact triangle's slices all run on it.  F2Mat
-and f2_rank serve the triangle's node maps, matrices of classes whose ranks
-decide exactness; nilpotent_block_multiplicities counts the Jordan blocks of
-a nilpotent F2 operator from the ranks of its powers.
+check, the homology of the exact triangle's slices and the ranks of its
+node maps all run on it.  No library path uses the row-packed F2Mat,
+f2_rank or nilpotent_block_multiplicities (which counts the Jordan blocks
+of a nilpotent F2 operator from the ranks of its powers); they remain for
+the benchmark's tracer and the tests.
 """
 
 from __future__ import annotations
@@ -186,15 +187,6 @@ class F2Mat:
     def identity(n: int) -> "F2Mat":
         return F2Mat(n, n, [1 << i for i in range(n)])
 
-    def set(self, r: int, c: int, v: int) -> None:
-        if v & 1:
-            self.data[r] |= 1 << c
-        else:
-            self.data[r] &= ~(1 << c)
-
-    def get(self, r: int, c: int) -> int:
-        return (self.data[r] >> c) & 1
-
     def mul(self, other: "F2Mat") -> "F2Mat":
         if self.cols != other.rows:
             raise DimensionMismatch("incompatible product")
@@ -209,22 +201,6 @@ class F2Mat:
                 x ^= lsb
             out.append(acc)
         return F2Mat(self.rows, other.cols, out)
-
-    def apply(self, v: int) -> int:
-        """Matrix times column vector (bit r of result = row r dot v)."""
-        out = 0
-        for r, row in enumerate(self.data):
-            if (row & v).bit_count() & 1:
-                out |= 1 << r
-        return out
-
-    def is_zero(self) -> bool:
-        return not any(self.data)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, F2Mat)
-                and (self.rows, self.cols) == (other.rows, other.cols)
-                and self.data == other.data)
 
     def __repr__(self) -> str:
         return f"F2Mat({self.rows}x{self.cols})"
@@ -330,14 +306,6 @@ def nilpotent_block_multiplicities(N: F2Mat, k: int) -> Dict[int, int]:
     return out
 
 
-def _bits(x: int):
-    """The positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _apply(cols: List[int], x: int) -> int:
     """The F2 matrix with these columns applied to the vector x."""
     out = 0
@@ -401,12 +369,6 @@ class Echelon:
         if v:
             raise LiftFailure("vector not in the tracked span")
         return tag
-
-    def reduce(self, v: int) -> int:
-        return self.reduce_tagged(v)[0]
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
 
     @property
     def dim(self) -> int:

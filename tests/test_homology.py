@@ -10,7 +10,6 @@ from khbn.homology import (ModuleDecomp, _barcode, bigraded_homology,
 from khbn.khcube import build_complex
 from khbn.laurent import Laurent
 from khbn.linkdiag import from_braid, kauffman_jones, load_link_table, parse_pd
-from khbn.ringalg import F2Mat
 
 
 def decomp(name, k, reduced=False, basepoint=None):
@@ -206,10 +205,10 @@ def test_triangle_sees_a_zero_connecting_map(monkeypatch):
     real = homology._delta
 
     def zero(*args):
-        return {key: F2Mat(m.rows, m.cols) for key, m in real(*args).items()}
+        return {key: [0] * len(m) for key, m in real(*args).items()}
 
     D = parse_pd(load_link_table()["trefoil_L"][0])
-    assert any(not m.is_zero() for m in homology.connecting_map(
+    assert any(any(m) for m in homology.connecting_map(
         build_complex(D)).values())
     monkeypatch.setattr(homology, "_delta", zero)
     rep = verify_triangle(D)

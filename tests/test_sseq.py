@@ -7,7 +7,7 @@ import pytest
 from khbn.homology import ModuleDecomp, bigraded_homology
 from khbn.khcube import build_complex
 from khbn.linkdiag import from_braid, load_link_table, parse_pd
-from khbn.sseq import (FilteredComplex, FiltrationViolation,
+from khbn.sseq import (FilteredComplex, FiltrationViolation, PageTable,
                        filtration_pages, u_adic_filtration, u_adic_pages,
                        verify_einfty_gr)
 
@@ -122,6 +122,25 @@ def test_gr_check_detects_corruption():
     assert any(not rep.passed for rep in reports)
     failing = [rep for rep in reports if not rep.passed]
     assert all(rep.mismatches for rep in failing)
+
+
+def test_gr_check_reduces_in_level_order():
+    """Columns stored out of level order: degree 0 has levels [1, 0, 0] and
+    d = [e, e, 0] into one level-0 vector e.  The cycles are c2 (level 0)
+    and c0 + c1 (level 1), so gr H^0 has one class at each level; reducing
+    in storage order would find c0 + c1 at the level-0 column c1 and put
+    both classes at level 0."""
+    F = FilteredComplex(dims={0: 3, 1: 1}, d={0: [0b1, 0b1, 0]},
+                        levels={0: [1, 0, 0], 1: [0]})
+    M = ModuleDecomp(1, {})
+    assert verify_einfty_gr(F, M).passed
+    assert filtration_pages(F).einfty() == {(0, 0): 1, (1, -1): 1}
+    # against an empty E_infty every mismatch reports gr at its position
+    rep = verify_einfty_gr(F, M, PageTable([{}], 0, 1))
+    assert sorted((key, want) for key, _, want in rep.mismatches) == [
+        ((0, 0), 1), ((1, -1), 1)]
+    rep = verify_einfty_gr(F, M, PageTable([{(0, 0): 2}], 0, 1))
+    assert sorted(rep.mismatches) == [((0, 0), 2, 1), ((1, -1), 0, 1)]
 
 
 def _fields(P):
