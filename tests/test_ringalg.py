@@ -221,7 +221,6 @@ def test_block_multiplicities_recover_construction():
         sizes = [rng.randrange(1, k + 1) for _ in range(rng.randrange(1, 5))]
         n = shift_block_matrix(sizes)
         p = random_invertible(rng, n.rows)
-        pinv_rank = f2_rank(p)
         # conjugate: solve P X = N P column by column with the rref data
         q = p.mul(n).mul(_invert(p))
         got = nilpotent_block_multiplicities(q, k)
