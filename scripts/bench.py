@@ -149,11 +149,6 @@ def main(argv=None):
         spec = json.load(fh)
     seconds = spec["run_seconds"]
     sides = {"base": git("rev-parse", args.base), "change": git("rev-parse", args.change)}
-    work = tempfile.mkdtemp(prefix="khbn-bench-")
-    trees = {side: os.path.join(work, side) for side in sides}
-    for side, rev in sides.items():
-        export(rev, trees[side])
-
     names = [w["name"] for w in spec["workloads"]]
     started = time.time()
 
@@ -168,9 +163,16 @@ def main(argv=None):
                   f" {time.time() - started:.0f} s", file=sys.stderr)
         return out
 
-    runs = alternate(SEEDS, 0)
-    traced = alternate(TRACED_SEEDS, 1)
-    shutil.rmtree(work)
+    # the exported trees go whether the runs finish or fail
+    work = tempfile.mkdtemp(prefix="khbn-bench-")
+    try:
+        trees = {side: os.path.join(work, side) for side in sides}
+        for side, rev in sides.items():
+            export(rev, trees[side])
+        runs = alternate(SEEDS, 0)
+        traced = alternate(TRACED_SEEDS, 1)
+    finally:
+        shutil.rmtree(work)
 
     summary = summarise(spec, runs, traced)
     result = {

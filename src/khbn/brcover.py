@@ -27,21 +27,22 @@ sits exactly on the circles named in the monomial, the pointed circle
 carries v_plus, and Q matches u.  Quantum grading on this side is defined
 as the pullback.
 
+The model is pointed, so build_e1_complex and verify_theorem_main take
+the marked arc whose circle is the pointed one in every smoothing.
 build_e1_complex runs khcube's cube walk and assembler with the monomials
 as keys and edge_map_brcover as the edge map, so the model is a
 khcube.GradedComplex at grading offset 0, and its generators carry the
 label tuples of phi.  verify_theorem_main builds the model and the
-reduced cube from one walk.
+reduced cube at the same arc from one walk.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .khcube import (BasepointMissing, GradedComplex, InhomogeneousEntry,
-                     _assemble, _edge_images, _walk, build_complex,
-                     verify_d_squared)
+from .khcube import (GradedComplex, InhomogeneousEntry, _assemble,
+                     _edge_images, _walk, build_complex, verify_d_squared)
 from .linkdiag import Diagram
 
 __all__ = [
@@ -106,8 +107,7 @@ def _monomials(c: int, pointed: int) -> List[Tuple[int, Tuple[int, ...]]]:
             for mask in range(1 << (c - 1))]
 
 
-def build_e1_complex(D: Diagram, basepoint: Optional[int] = None,
-                     walk=None) -> GradedComplex:
+def build_e1_complex(D: Diagram, basepoint: int, walk=None) -> GradedComplex:
     """All 2^n vertex groups and the n 2^(n-1) edge maps, graded by raw
     cube weight; asserts d^2 = 0 over F2[Q]/Q^2.
 
@@ -115,10 +115,7 @@ def build_e1_complex(D: Diagram, basepoint: Optional[int] = None,
     the order (state, monomial).  The cube is walked once (khcube._walk; a
     caller that has walked it at this basepoint passes its walk).
     """
-    bp = basepoint if basepoint is not None else D.basepoint_arc
-    if bp is None:
-        raise BasepointMissing("the model is pointed; pick a basepoint arc")
-    states, circles, pointed, edges = walk or _walk(D, bp)
+    states, circles, pointed, edges = walk or _walk(D, basepoint)
     keys = list(zip(circles, pointed))
 
     def edge_map(edge, key_from, key_to):
@@ -153,7 +150,7 @@ class TheoremReport:
                 f" module_failures={self.module_failures})")
 
 
-def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremReport:
+def verify_theorem_main(D: Diagram, basepoint: int) -> TheoremReport:
     """Two independent checks of the identification:
 
     (a) phi intertwines every edge map with the reduced k=2 cube edge map:
@@ -166,10 +163,7 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
     """
     from .homology import bigraded_homology, ModuleDecomp
 
-    bp = basepoint if basepoint is not None else D.basepoint_arc
-    if bp is None:
-        raise BasepointMissing("the model is pointed; pick a basepoint arc")
-    states, circles, pointed, edges = _walk(D, bp)
+    states, circles, pointed, edges = _walk(D, basepoint)
     edges = list(edges)
     walk = states, circles, pointed, edges
     chain_failures = []
@@ -183,13 +177,13 @@ def verify_theorem_main(D: Diagram, basepoint: Optional[int] = None) -> TheoremR
                 chain_failures.append((states[b], c))
                 break
     try:
-        E1 = build_e1_complex(D, bp, walk)
+        E1 = build_e1_complex(D, basepoint, walk)
     except (InhomogeneousEntry, DSquaredFailure) as e:
         # a broken model map need not give a graded complex; no module to compare
         return TheoremReport(False, len(edges), chain_failures,
                              [(None, str(e), None)], None, None)
     M_model = bigraded_homology(E1, 2)
-    C = build_complex(D, reduced=True, basepoint=bp, force=True, walk=walk)
+    C = build_complex(D, basepoint, walk)
     M_bn = bigraded_homology(C, 2)
     shift = ModuleDecomp(2, {(i + D.n_minus, j): dict(m)
                              for (i, j), m in M_bn.table.items()})

@@ -28,7 +28,7 @@ from . import __version__
 from .brcover import build_e1_complex, verify_theorem_main
 from .homology import (_barcode, bigraded_homology, euler_characteristic,
                        verify_triangle)
-from .khcube import ResourceLimit, build_complex
+from .khcube import build_complex
 from .laurent import Laurent
 from .linkdiag import (Diagram, DiagramError, from_braid, kauffman_jones,
                        load_link_table, parse_pd, render)
@@ -107,6 +107,19 @@ def _default_basepoint(D: Diagram, basepoint: Optional[int]) -> int:
     if basepoint not in D.arcs:
         raise click.UsageError(f"arc {basepoint} does not occur in the diagram")
     return basepoint
+
+
+def _too_large(D: Diagram, force: bool) -> bool:
+    """The crossing-count guard: the full cube has 2^n states, so a
+    diagram above 14 crossings is refused unless --force lifts the guard."""
+    return D.n > 14 and not force
+
+
+def _refuse_if_too_large(D: Diagram, force: bool) -> None:
+    """Exit 3 when the guard refuses D; called before any build."""
+    if _too_large(D, force):
+        click.echo(f"refused: {D.n} crossings; rerun with --force", err=True)
+        sys.exit(3)
 
 
 def _poincare_text(f2: Dict[Tuple[int, int], int]) -> str:
@@ -324,17 +337,9 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
             click.echo(f"cache hit: {cache_path}", err=True)
 
     if bars is None:
+        _refuse_if_too_large(D, force)
         t0 = time.perf_counter()
-        try:
-            if model == "e1":
-                if D.n > 14 and not force:
-                    raise ResourceLimit(f"{D.n} crossings")
-                C = build_e1_complex(D, arc)
-            else:
-                C = build_complex(D, reduced=True, basepoint=arc, force=force)
-        except ResourceLimit as e:
-            click.echo(f"refused: {e}; rerun with --force", err=True)
-            sys.exit(3)
+        C = build_e1_complex(D, arc) if model == "e1" else build_complex(D, arc)
         free, pairs = _barcode(C)
         # a pair of gap 0 gives no tower at any k
         bars = (free, [(i, qx, qy) for i, qx, qy in pairs if qy > qx])
@@ -358,8 +363,11 @@ def compute(pd, braid, strands, name, invariant, k_opt, reduced, basepoint,
 
 # ---------------------------------------------------------------- verify --
 
-def _check_euler(D: Diagram, k: int) -> Tuple[bool, str]:
-    M = bigraded_homology(build_complex(D, force=True), k)
+# Each check takes (diagram, k, marked arc or None); euler, splitting and
+# basepoint read no marked arc, and brcover always gets one.
+
+def _check_euler(D: Diagram, k: int, bp: Optional[int]) -> Tuple[bool, str]:
+    M = bigraded_homology(build_complex(D), k)
     chi = euler_characteristic(M)
     expect = kauffman_jones(D) * Laurent({-2 * s: 1 for s in range(k)})
     if chi == expect:
@@ -367,19 +375,18 @@ def _check_euler(D: Diagram, k: int) -> Tuple[bool, str]:
     return False, f"chi = {_laurent_text(chi)} but state sum gives {_laurent_text(expect)}"
 
 
-def _check_triangle(D: Diagram, reduced: bool, bp: Optional[int]) -> Tuple[bool, str]:
-    rep = verify_triangle(D, reduced=reduced, basepoint=bp)
+def _check_triangle(D: Diagram, k: int, bp: Optional[int]) -> Tuple[bool, str]:
+    rep = verify_triangle(D, bp)
     if rep.passed:
         return True, f"{len(rep.nodes)} nodes exact"
     return False, f"exactness fails at {rep.failures[0]}"
 
 
-def _check_splitting(D: Diagram, k: int) -> Tuple[bool, str]:
+def _check_splitting(D: Diagram, k: int, bp: Optional[int]) -> Tuple[bool, str]:
     """The direct unreduced module against reduced (+) reduced{q-2}, the
     identity that compute derives every unreduced report from."""
-    un = bigraded_homology(build_complex(D, force=True), k)
-    red = bigraded_homology(build_complex(
-        D, reduced=True, basepoint=D.arcs[0], force=True), k)
+    un = bigraded_homology(build_complex(D), k)
+    red = bigraded_homology(build_complex(D, D.arcs[0]), k)
     split = red.direct_sum(red.shift_quantum(-2))
     if un == split:
         return True, "unreduced = reduced (x) (1 + q^-2)"
@@ -396,20 +403,18 @@ def _sample_arcs(D: Diagram, limit: int = 8) -> List[int]:
     return arcs[::step][:limit]
 
 
-def _check_basepoint(D: Diagram, k: int) -> Tuple[bool, str]:
+def _check_basepoint(D: Diagram, k: int, bp: Optional[int]) -> Tuple[bool, str]:
     arcs = _sample_arcs(D)
-    first = bigraded_homology(build_complex(
-        D, reduced=True, basepoint=arcs[0], force=True), k)
+    first = bigraded_homology(build_complex(D, arcs[0]), k)
     for a in arcs[1:]:
-        other = bigraded_homology(build_complex(
-            D, reduced=True, basepoint=a, force=True), k)
+        other = bigraded_homology(build_complex(D, a), k)
         if other != first:
             return False, f"arc {arcs[0]} and arc {a} give different answers"
     return True, f"{len(arcs)} arcs agree"
 
 
-def _check_brcover(D: Diagram, bp: int) -> Tuple[bool, str]:
-    rep = verify_theorem_main(D, basepoint=bp)
+def _check_brcover(D: Diagram, k: int, bp: int) -> Tuple[bool, str]:
+    rep = verify_theorem_main(D, bp)
     if rep.passed:
         return True, f"{rep.edges_checked} edges intertwined, modules agree"
     if rep.chain_failures:
@@ -427,9 +432,8 @@ def _einfty_checks(C, k: int):
         yield j, tables[j], verify_einfty_gr(F, M, tables[j])
 
 
-def _check_sseq(D: Diagram, k: int, reduced: bool,
-                bp: Optional[int]) -> Tuple[bool, str]:
-    C = build_complex(D, reduced=reduced, basepoint=bp, force=True)
+def _check_sseq(D: Diagram, k: int, bp: Optional[int]) -> Tuple[bool, str]:
+    C = build_complex(D, bp)
     for j, _, rep in _einfty_checks(C, k):
         if not rep.passed:
             return False, f"E_inf != gr at quantum {j}: {rep.mismatches[0]}"
@@ -440,9 +444,8 @@ def _check_reidemeister(pair: Tuple[str, str], k: int, reduced: bool) -> Tuple[b
     decomps = []
     for nm in pair:
         D = _load_entry(nm)
-        bp = D.arcs[0] if reduced else None
         decomps.append(bigraded_homology(
-            build_complex(D, reduced=reduced, basepoint=bp, force=True), k))
+            build_complex(D, D.arcs[0] if reduced else None), k))
     if decomps[0] == decomps[1]:
         return True, "same module decomposition"
     only = sorted(set(decomps[0].table) ^ set(decomps[1].table))
@@ -450,30 +453,17 @@ def _check_reidemeister(pair: Tuple[str, str], k: int, reduced: bool) -> Tuple[b
     return False, f"{pair[0]} and {pair[1]} disagree at {where}"
 
 
-CHECKS = ["euler", "triangle", "splitting", "basepoint", "brcover", "sseq",
-          "reidemeister"]
+_CHECK_OF = {"euler": _check_euler, "triangle": _check_triangle,
+             "splitting": _check_splitting, "basepoint": _check_basepoint,
+             "brcover": _check_brcover, "sseq": _check_sseq}
+CHECKS = [*_CHECK_OF, "reidemeister"]
 
 
-def _run_check(check: str, label: str, pd_text: str, k: int, reduced: bool,
-               bp: Optional[int]) -> Tuple[str, bool, str]:
-    D = parse_pd(pd_text)
-    if check == "euler":
-        ok, detail = _check_euler(D, k)
-    elif check == "triangle":
-        ok, detail = _check_triangle(D, reduced, bp)
-    elif check == "splitting":
-        ok, detail = _check_splitting(D, k)
-    elif check == "basepoint":
-        ok, detail = _check_basepoint(D, k)
-    elif check == "brcover":
-        ok, detail = _check_brcover(D, bp)
-    else:
-        ok, detail = _check_sseq(D, k, reduced, bp)
-    return label, ok, detail
-
-
-def _run_check_star(args):
-    return _run_check(*args)
+def _run_check(target: Tuple[str, str, str, int, Optional[int]]
+               ) -> Tuple[str, bool, str]:
+    """(label, ok, detail) of one (check, label, PD text, k, marked arc)."""
+    check, label, pd_text, k, bp = target
+    return (label, *_CHECK_OF[check](parse_pd(pd_text), k, bp))
 
 
 @main.command()
@@ -498,6 +488,8 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
         raise click.UsageError("--jobs must be a positive integer")
     if max_crossings is not None and max_crossings < 0:
         raise click.UsageError("--max-crossings must be a non-negative integer")
+    if reduced and check in ("euler", "splitting", "basepoint", "brcover"):
+        raise click.UsageError(f"--reduced does not apply to verify {check}")
     # the checks that read a marked arc; every other one refuses --basepoint
     pointed = check == "brcover" or (reduced and check in ("triangle", "sseq"))
     if basepoint is not None and not pointed:
@@ -539,27 +531,23 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
             D = parse_pd(table[nm][0])
             if max_crossings is not None and D.n > max_crossings:
                 continue
-            if D.n > 14 and not force:
+            if _too_large(D, force):
                 click.echo(f"skip {nm}: {D.n} crossings (use --force)", err=True)
                 continue
             bp = _default_basepoint(D, basepoint) if pointed else None
-            targets.append((check, nm, table[nm][0], k, reduced, bp))
+            targets.append((check, nm, table[nm][0], k, bp))
     else:
         D = _resolve_diagram(pd, braid, strands, name)
-        if D.n > 14 and not force:
-            click.echo(f"refused: {D.n} crossings; rerun with --force", err=True)
-            sys.exit(3)
+        _refuse_if_too_large(D, force)
         label = name if name else render(D)
         bp = _default_basepoint(D, basepoint) if pointed else None
-        targets = [(check, label, render(D), k, reduced, bp)]
+        targets = [(check, label, render(D), k, bp)]
 
-    results = []
     if jobs > 1 and len(targets) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_run_check_star, targets))
+            results = list(ex.map(_run_check, targets))
     else:
-        for t in targets:
-            results.append(_run_check_star(t))
+        results = [_run_check(t) for t in targets]
 
     failures = []
     for label, ok, detail in results:
@@ -593,11 +581,8 @@ def sseq_cmd(pd, braid, strands, name, k, reduced, basepoint, force) -> None:
         raise click.UsageError("--basepoint only makes sense with --reduced")
     D = _resolve_diagram(pd, braid, strands, name)
     bp = _default_basepoint(D, basepoint) if reduced else None
-    try:
-        C = build_complex(D, reduced=reduced, basepoint=bp, force=force)
-    except ResourceLimit as e:
-        click.echo(f"refused: {e}; rerun with --force", err=True)
-        sys.exit(3)
+    _refuse_if_too_large(D, force)
+    C = build_complex(D, bp)
     flavour = "reduced" if reduced else "unreduced"
     click.echo(f"pd: {render(D)}")
     click.echo(f"filtration of the k={k} complex, {flavour}")

@@ -289,8 +289,7 @@ def connecting_map(C: GradedComplex) -> Dict[Tuple[int, int], List[int]]:
     return _delta(size, cols, _slice_homology(size, cols, 1))
 
 
-def verify_triangle(D: Diagram, reduced: bool = False,
-                    basepoint: Optional[int] = None) -> TriangleReport:
+def verify_triangle(D: Diagram, basepoint: Optional[int] = None) -> TriangleReport:
     """Exactness of ... -> Kh^{i,j+2} -u-> BN2^{i,j} -> Kh^{i,j} -> Kh^{i+1,j+2} -> ...
 
     built from the chain-level sequence 0 -> C1{2} -u-> C2 -> C1 -> 0 on
@@ -299,9 +298,10 @@ def verify_triangle(D: Diagram, reduced: bool = False,
     shifts a cycle of S(i, j+2) into layer 1 of the slice at (i, j), the
     projection keeps layer 0, and delta applies d1.  Checked node by node
     as explicit maps, not just dimensions: each map is a list of columns,
-    the classes of the images of the source's representatives.
+    the classes of the images of the source's representatives.  The
+    complex is reduced at the marked arc basepoint when one is given.
     """
-    size, cols = build_complex(D, reduced, basepoint, force=True).slices
+    size, cols = build_complex(D, basepoint).slices
     kh = _slice_homology(size, cols, 1)
     bn = _slice_homology(size, cols, 2)
     delta = _delta(size, cols, kh)

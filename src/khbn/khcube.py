@@ -9,9 +9,11 @@ At u = 0 this is the Khovanov complex.  Gradings: i = |state| - n_minus
 and j = (#plus - #minus) - 2 u_power + |state| + n_plus - 2 n_minus, so u
 has bidegree (0,-2) in (i,j) order.
 
-The reduced complex is the quotient killing every generator whose pointed
-circle carries v_minus; that span is a subcomplex, which the builder
-asserts rather than assumes.
+The complex is reduced exactly when a marked arc is given: it is then the
+quotient killing every generator whose pointed circle (the circle through
+the marked arc) carries v_minus; that span is a subcomplex, which the
+builder asserts rather than assumes.  The crossing-count guard is the
+command line's, not the builder's.
 
 One cube walk and one assembler serve this cube and the cover model in
 brcover.  _walk resolves each of the 2^n states once, and each edge's
@@ -53,7 +55,6 @@ __all__ = [
     "BasepointMissing",
     "InhomogeneousEntry",
     "SubcomplexViolation",
-    "ResourceLimit",
 ]
 
 MINUS = 1
@@ -65,10 +66,6 @@ class BasepointMissing(ValueError):
 
 
 class SubcomplexViolation(AssertionError):
-    pass
-
-
-class ResourceLimit(RuntimeError):
     pass
 
 
@@ -252,7 +249,7 @@ def _walk(D: Diagram, bp: Optional[int]):
     ids: List[Tuple[int, ...]] = []   # sorted circle ids per state
     pos: List[bytes] = []             # arc -> position in ids, per state
     for s in states:
-        r = resolve(D, s, bp)
+        r = resolve(D, s)
         ids.append(r.circle_ids)
         pos.append(_arc_positions(r))
     pointed = [p[bp] if bp is not None else None for p in pos]
@@ -359,28 +356,19 @@ def _assemble(D: Diagram, offset: int, states, keys, kept, edges, edge_map,
     return generators, (size, cols)
 
 
-def build_complex(D: Diagram, reduced: bool = False,
-                  basepoint: Optional[int] = None,
-                  force: bool = False, walk=None) -> GradedComplex:
-    """Assemble the full complex over F2[u]; asserts d*d = 0 before
-    returning.
+def build_complex(D: Diagram, basepoint: Optional[int] = None,
+                  walk=None) -> GradedComplex:
+    """Assemble the full complex over F2[u], reduced at the marked arc
+    basepoint when one is given; asserts d*d = 0 before returning.
 
     Each state is resolved once (_walk; a caller that has walked the cube
     at the same basepoint passes its walk), a generator is a state plus a
     label bitmask, and every edge map is read off the two resolutions of
-    its ends.  Above 14 crossings the cube is refused unless force is set.
+    its ends.
     """
-    if D.n > 14 and not force:
-        raise ResourceLimit(
-            f"{D.n} crossings: the full cube has {1 << D.n} vertices;"
-            " pass force to proceed")
-    bp = basepoint if basepoint is not None else D.basepoint_arc
-    if reduced and bp is None:
-        raise BasepointMissing("reduced complex needs a basepoint arc")
-    states, circles, pointed, edges = walk or _walk(D, bp)
+    states, circles, pointed, edges = walk or _walk(D, basepoint)
     # position of the pointed circle, or None when no generator is killed
-    killed = pointed if reduced else [None] * len(states)
-    keys = list(zip(circles, killed))
+    keys = list(zip(circles, pointed))
     kept = {key: _labelings(*key) for key in set(keys)}
 
     def edge_map(edge, key_from, key_to):
@@ -395,7 +383,7 @@ def build_complex(D: Diagram, reduced: bool = False,
                         f"killed generator leaks across edge {edge}")
         return partial(_edge_images, *edge)
 
-    C = GradedComplex(D, reduced, D.n_minus, *_assemble(
+    C = GradedComplex(D, basepoint is not None, D.n_minus, *_assemble(
         D, D.n_minus, states, keys, kept, edges, edge_map,
         SubcomplexViolation))
     report = verify_d_squared(C)

@@ -80,11 +80,10 @@ class LetterOutOfRange(DiagramError):
 class Diagram:
     """Validated planar diagram; immutable after construction."""
 
-    __slots__ = ("crossings", "signs", "n_plus", "n_minus", "basepoint_arc",
+    __slots__ = ("crossings", "signs", "n_plus", "n_minus",
                  "component_count", "components", "_over_in_slots")
 
-    def __init__(self, crossings, signs, over_in_slots, components,
-                 basepoint_arc=None):
+    def __init__(self, crossings, signs, over_in_slots, components):
         self.crossings: Tuple[Tuple[int, int, int, int], ...] = tuple(crossings)
         self.signs: Tuple[int, ...] = tuple(signs)
         self._over_in_slots: Tuple[int, ...] = tuple(over_in_slots)
@@ -92,7 +91,6 @@ class Diagram:
         self.component_count = len(self.components)
         self.n_plus = sum(1 for s in self.signs if s > 0)
         self.n_minus = sum(1 for s in self.signs if s < 0)
-        self.basepoint_arc = basepoint_arc
 
     @property
     def n(self) -> int:
@@ -106,20 +104,13 @@ class Diagram:
     def arcs(self) -> Tuple[int, ...]:
         return tuple(range(1, 2 * len(self.crossings) + 1)) if self.crossings else (1,)
 
-    def with_basepoint(self, arc: int) -> "Diagram":
-        if arc not in self.arcs:
-            raise DiagramError(f"basepoint arc {arc} not in diagram")
-        return Diagram(self.crossings, self.signs, self._over_in_slots,
-                       self.components, arc)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Diagram)
                 and self.crossings == other.crossings
-                and self.signs == other.signs
-                and self.basepoint_arc == other.basepoint_arc)
+                and self.signs == other.signs)
 
     def __hash__(self) -> int:
-        return hash((self.crossings, self.signs, self.basepoint_arc))
+        return hash((self.crossings, self.signs))
 
     def __repr__(self) -> str:
         return f"Diagram({render(self)}, writhe={self.writhe})"
@@ -148,19 +139,12 @@ class Split:
 class Resolution:
     """Circles of one full smoothing; ids are the minimal member arcs."""
 
-    __slots__ = ("state", "circles", "circle_ids", "pointed_circle")
+    __slots__ = ("state", "circles", "circle_ids")
 
-    def __init__(self, state, circles, pointed_circle=None):
+    def __init__(self, state, circles):
         self.state: Tuple[int, ...] = tuple(state)
         self.circles: Tuple[Tuple[int, ...], ...] = tuple(circles)
         self.circle_ids: Tuple[int, ...] = tuple(min(c) for c in self.circles)
-        self.pointed_circle = pointed_circle
-
-    def circle_of(self, arc: int) -> int:
-        for cid, circle in zip(self.circle_ids, self.circles):
-            if arc in circle:
-                return cid
-        raise DiagramError(f"arc {arc} not in any circle")
 
     def __repr__(self) -> str:
         return f"Resolution(state={self.state}, circles={self.circle_ids})"
@@ -186,14 +170,14 @@ _PD_RE = re.compile(r"^\s*PD\s*\[(.*)\]\s*$", re.S)
 _X_RE = re.compile(r"X\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
-def parse_pd(text: str, basepoint: Optional[int] = None) -> Diagram:
+def parse_pd(text: str) -> Diagram:
     """Parse `PD[X(a,b,c,d), ...]` or the literal `U` into a Diagram.
 
     Labels are reduced mod 2n into 1..2n, validated (each arc exactly
     twice), oriented, signed, and canonically relabeled.
     """
     if text.strip() == "U":
-        return Diagram((), (), (), ((1,),), basepoint)
+        return Diagram((), (), (), ((1,),))
     m = _PD_RE.match(text)
     if not m:
         raise MalformedSyntax(f"not PD notation: {text!r}")
@@ -202,11 +186,10 @@ def parse_pd(text: str, basepoint: Optional[int] = None) -> Diagram:
     leftover = _X_RE.sub("", body).replace(",", "").strip()
     if leftover or not quads:
         raise MalformedSyntax(f"unparsed content in PD body: {body!r}")
-    return _build(quads, basepoint)
+    return _build(quads)
 
 
-def _build(quads: Sequence[Tuple[int, int, int, int]],
-           basepoint: Optional[int]) -> Diagram:
+def _build(quads: Sequence[Tuple[int, int, int, int]]) -> Diagram:
     n = len(quads)
     two_n = 2 * n
     quads = [tuple((x - 1) % two_n + 1 for x in q) for q in quads]
@@ -227,7 +210,7 @@ def _build(quads: Sequence[Tuple[int, int, int, int]],
     over_in = _orient(quads)
     components = _cycles(_succession(quads, over_in))
     signs = [1 if oi == 3 else -1 for oi in over_in]
-    return Diagram(quads, signs, over_in, components, basepoint)
+    return Diagram(quads, signs, over_in, components)
 
 
 def _check_planar(quads: Sequence[Tuple[int, int, int, int]]) -> None:
@@ -471,7 +454,7 @@ def from_braid(word: Sequence[int], strands: int) -> Diagram:
                 rep_label[r] = next(nxt)
             labels.append(rep_label[r])
         merged.append(tuple(labels))
-    D = _build(merged, None)
+    D = _build(merged)
     perm = list(range(strands))
     for letter in word:
         i = abs(letter) - 1
@@ -499,8 +482,7 @@ def _smoothing_pairs(q, bit):
     return ((a, b), (c, d)) if bit == 0 else ((a, d), (b, c))
 
 
-def resolve(D: Diagram, state: Sequence[int],
-            basepoint: Optional[int] = None) -> Resolution:
+def resolve(D: Diagram, state: Sequence[int]) -> Resolution:
     """Circles of the full smoothing given by `state` (one bit per crossing)."""
     state = tuple(state)
     if len(state) != D.n:
@@ -508,9 +490,8 @@ def resolve(D: Diagram, state: Sequence[int],
     bad = [b for b in state if b not in (0, 1)]
     if bad:
         raise DiagramError(f"state entries must be 0 or 1, got {bad[0]}")
-    bp = basepoint if basepoint is not None else D.basepoint_arc
     if not D.crossings:
-        return Resolution(state, ((1,),), 1 if bp else None)
+        return Resolution(state, ((1,),))
     edges: List[Tuple[int, int]] = []
     for q, bit in zip(D.crossings, state):
         edges.extend(_smoothing_pairs(q, bit))
@@ -536,13 +517,7 @@ def resolve(D: Diagram, state: Sequence[int],
             edge = e1 if edge == e0 else e0
         circles.append(tuple(cyc))
     circles.sort(key=min)
-    pointed = None
-    if bp is not None:
-        for c in circles:
-            if bp in c:
-                pointed = min(c)
-                break
-    return Resolution(state, circles, pointed)
+    return Resolution(state, circles)
 
 
 def _circle_count(D: Diagram, state: Sequence[int]) -> int:
@@ -640,7 +615,7 @@ def mirror(D: Diagram) -> Diagram:
     for q, sign in zip(D.crossings, D.signs):
         a, b, c, d = q
         quads.append((d, a, b, c) if sign > 0 else (b, c, d, a))
-    out = _build(quads, D.basepoint_arc)
+    out = _build(quads)
     if (out.n_plus, out.n_minus) != (D.n_minus, D.n_plus):
         raise AssertionError("mirror did not flip the crossing signs")
     return out

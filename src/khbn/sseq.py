@@ -176,14 +176,12 @@ def u_adic_filtration(C: GradedComplex, k: int) -> Dict[int, FilteredComplex]:
     return out
 
 
-def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTable:
-    """Pages E_0 .. E_{r_max}; default r_max = depth + 1, which is E_infty
-    for a bounded filtration.  Stabilization is the first r whose page
-    equals the next one."""
+def filtration_pages(F: FilteredComplex) -> PageTable:
+    """Pages E_0 .. E_{depth+1}; the last is E_infty for a bounded
+    filtration.  Stabilization is the first r whose page equals the next
+    one."""
     lo, hi = F.level_range()
     depth = hi - lo
-    if r_max is None:
-        r_max = depth + 1
     zcache: Dict[Tuple[int, int, int], List[int]] = {}
 
     def Z(r: int, p: int, i: int) -> List[int]:
@@ -200,7 +198,7 @@ def filtration_pages(F: FilteredComplex, r_max: Optional[int] = None) -> PageTab
     pages: List[Dict[Tuple[int, int], int]] = []
     positions = sorted((i, p) for i in F.degrees()
                        for p in range(lo, hi + 1))
-    for r in range(r_max + 1):
+    for r in range(depth + 2):
         page: Dict[Tuple[int, int], int] = {}
         for i, p in positions:
             znum = Z(r, p, i)

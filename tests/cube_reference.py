@@ -34,25 +34,27 @@ def differing_arcs(D):
 
 
 def _pointed_positions(D, bp):
-    out = []
-    for s in _states(D.n):
-        r = resolve(D, s, bp)
-        out.append(r.circle_ids.index(r.pointed_circle))
-    return out
+    return [pointed_position(resolve(D, s), bp) for s in _states(D.n)]
+
+
+def pointed_position(r, arc):
+    """Position, in the sorted circle ids of the resolution r, of the
+    circle through the marked arc."""
+    return next(t for t, circle in enumerate(r.circles) if arc in circle)
 
 
 class VertexGroup:
-    """Exterior-algebra data of one smoothing: `pointed` is the position of
-    the pointed circle in the sorted circle ids, and monomials are bitmasks
-    over the other circles."""
+    """Exterior-algebra data of one smoothing r pointed at arc: `pointed`
+    is the position of the pointed circle in the sorted circle ids, and
+    monomials are bitmasks over the other circles."""
 
     __slots__ = ("state", "circle_ids", "pointed", "rank")
 
-    def __init__(self, state, circle_ids, pointed):
-        self.state = tuple(state)
-        self.circle_ids = tuple(circle_ids)
-        self.pointed = self.circle_ids.index(pointed)
-        self.rank = 1 << (len(circle_ids) - 1)
+    def __init__(self, r, arc):
+        self.state = r.state
+        self.circle_ids = r.circle_ids
+        self.pointed = pointed_position(r, arc)
+        self.rank = 1 << (len(r.circle_ids) - 1)
 
 
 def _states(n):
@@ -65,17 +67,18 @@ def _flat(keys, differential):
                    for i, m in differential.items()})
 
 
-def reference_complex(D, k, reduced=False, basepoint=None):
+def reference_complex(D, k, basepoint=None):
+    """Reduced at the marked arc basepoint when one is given."""
     states = _states(D.n)
     circle_ids, pointed = {}, {}
     for s in states:
-        r = resolve(D, s, basepoint)
+        r = resolve(D, s)
         circle_ids[s] = r.circle_ids
-        pointed[s] = r.pointed_circle
+        if basepoint is not None:
+            pointed[s] = pointed_position(r, basepoint)
 
     def keep(state, labels):
-        return (not reduced
-                or labels[circle_ids[state].index(pointed[state])] == PLUS)
+        return basepoint is None or labels[pointed[state]] == PLUS
 
     generators = {}
     for s in states:
@@ -116,8 +119,7 @@ def reference_e1(D, basepoint):
     states = _states(D.n)
     vertices = {}
     for s in states:
-        r = resolve(D, s, basepoint)
-        vertices[s] = VertexGroup(s, r.circle_ids, r.pointed_circle)
+        vertices[s] = VertexGroup(resolve(D, s), basepoint)
     generators = {}
     for s, V in vertices.items():
         generators.setdefault(sum(s), []).extend(

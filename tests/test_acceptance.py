@@ -43,7 +43,7 @@ def report(num, desc, ok, t0):
 
 def reduced_decomp(D, k, basepoint=None):
     bp = D.arcs[0] if basepoint is None else basepoint
-    return bigraded_homology(build_complex(D, reduced=True, basepoint=bp), k)
+    return bigraded_homology(build_complex(D, bp), k)
 
 
 def test_01_trefoil_golden_table():
@@ -96,11 +96,10 @@ def test_03_differential_squares_to_zero():
     t0 = time.perf_counter()
     bad = []
     for name, D in corpus():
-        for reduced in (False, True):
-            C = build_complex(D, reduced=reduced,
-                              basepoint=D.arcs[0] if reduced else None)
+        for bp in (None, D.arcs[0]):
+            C = build_complex(D, bp)
             if not (verify_d_squared(C).passed and quantum_homogeneous(C)):
-                bad.append((name, reduced))
+                bad.append((name, bp))
     report(3, "d^2 = 0 over F2[u] (so at every k) and homogeneity, whole"
               " table, both flavours", not bad, t0)
     assert not bad, bad
@@ -197,11 +196,10 @@ def test_10_dense_reference_pipeline():
     t0 = time.perf_counter()
     bad = []
     for name, D in corpus(7):
-        for reduced in (False, True):
-            C = build_complex(D, reduced=reduced,
-                              basepoint=D.arcs[0] if reduced else None)
+        for bp in (None, D.arcs[0]):
+            C = build_complex(D, bp)
             if bigraded_homology(C, 2) != dense_decomp(C, 2):
-                bad.append((name, reduced))
+                bad.append((name, bp))
     report(10, "sparse pipeline = dense reference, table <= 7 crossings",
            not bad, t0)
     assert not bad, bad

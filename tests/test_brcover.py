@@ -25,8 +25,8 @@ def all_edges(D, bp):
               for b in range(1 << D.n)]
     groups, pos = {}, {}
     for s in states:
-        r = resolve(D, s, bp)
-        groups[s] = VertexGroup(s, r.circle_ids, r.pointed_circle)
+        r = resolve(D, s)
+        groups[s] = VertexGroup(r, bp)
         pos[s] = _arc_positions(r)
     for s in states:
         for c in range(D.n):
@@ -135,10 +135,10 @@ def split_change_of_basis(t, V_to):
 def test_vertex_group_rank():
     D = diagram("trefoil_L")
     for s in [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]:
-        r = resolve(D, s, 1)
-        V = VertexGroup(s, r.circle_ids, r.pointed_circle)
+        r = resolve(D, s)
+        V = VertexGroup(r, 1)
         assert V.rank == 1 << (len(r.circle_ids) - 1)
-        assert V.circle_ids[V.pointed] == r.pointed_circle
+        assert 1 in r.circles[V.pointed]
 
 
 def test_kink_model_ranks():
@@ -151,8 +151,7 @@ def test_kink_model_ranks():
 def test_phi_is_a_graded_bijection():
     D = diagram("figure8")
     for s in [(0, 0, 0, 0), (1, 0, 1, 0), (1, 1, 1, 1)]:
-        r = resolve(D, s, D.arcs[0])
-        V = VertexGroup(s, r.circle_ids, r.pointed_circle)
+        V = VertexGroup(resolve(D, s), D.arcs[0])
         p = V.pointed
         labels = [phi(mask, p) for mask in range(V.rank)]
         assert all(not (m >> p) & 1 for m in labels)
@@ -204,8 +203,6 @@ def test_raw_map_rejects_merges():
 
 def test_model_needs_basepoint():
     D = diagram("trefoil_L")
-    with pytest.raises(BasepointMissing):
-        build_e1_complex(D)
     for check in (build_e1_complex, verify_theorem_main):
         with pytest.raises(BasepointMissing, match="arc 99 does not occur"):
             check(D, 99)
@@ -219,7 +216,7 @@ def test_trefoil_model_homology():
     assert M == ModuleDecomp.from_json(2, {
         "0,-9": {"1": 1}, "1,-5": {"1": 1}, "3,-1": {"2": 1}})
     # same table as the reduced deformation, re-indexed by raw weight
-    B = bigraded_homology(build_complex(D, reduced=True, basepoint=1), 2)
+    B = bigraded_homology(build_complex(D, 1), 2)
     assert M == ModuleDecomp(2, {(i + D.n_minus, j): dict(m)
                                  for (i, j), m in B.table.items()})
 

@@ -1,5 +1,4 @@
 import json
-import time
 
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
@@ -121,9 +120,9 @@ def _count_builds(monkeypatch):
     calls = []
     build = cli.build_complex
 
-    def counted(D, **kw):
-        calls.append(kw)
-        return build(D, **kw)
+    def counted(D, *args):
+        calls.append(args)
+        return build(D, *args)
 
     monkeypatch.setattr(cli, "build_complex", counted)
     return calls
@@ -133,7 +132,8 @@ def test_unreduced_compute_builds_the_reduced_cube_once(monkeypatch):
     calls = _count_builds(monkeypatch)
     r = run("compute", "--name", "knot_5_2", "--invariant", "bn2")
     assert r.exit_code == 0, r.output
-    assert len(calls) == 1 and calls[0]["reduced"] is True
+    # one build, reduced at the lowest arc
+    assert calls == [(1,)]
 
 
 FLAVOURS = (["--invariant", "kh"], ["--invariant", "bn2"],
@@ -238,6 +238,16 @@ def test_malformed_inputs_exit_2():
             r = run(*args, "--basepoint", arc)
             assert r.exit_code == 2, (args, arc, r.output)
             assert "--basepoint" in r.output, (args, arc)
+    # --reduced where no marked arc is read, as compute --invariant
+    # brcover-e2 refuses it
+    for args in (("verify", "euler", *braid),
+                 ("verify", "splitting", *braid),
+                 ("verify", "basepoint", *braid),
+                 ("verify", "brcover", *braid),
+                 ("verify", "euler", "--all-table", "--max-crossings", "3")):
+        r = run(*args, "--reduced")
+        assert r.exit_code == 2, (args, r.output)
+        assert "--reduced does not apply" in r.output, args
 
 
 @st.composite
@@ -270,19 +280,21 @@ def test_any_diagram_ends_with_an_exit_status(diagram, invariant):
         (diagram, repr(r.exception))
 
 
-def test_resource_guard_exit_3():
-    word = " ".join(["1"] * 15)
-    r = run("compute", "--braid", word, "--strands", "2", "--invariant", "kh")
-    assert r.exit_code == 3
-    r = run("verify", "euler", "--braid", word, "--strands", "2")
-    assert r.exit_code == 3
-    # the guard acts before the cover model is built
-    t0 = time.perf_counter()
-    r = run("compute", "--braid", word, "--strands", "2",
-            "--invariant", "brcover-e2")
-    elapsed = time.perf_counter() - t0
-    assert r.exit_code == 3
-    assert elapsed < 1.0, elapsed
+def test_resource_guard_exit_3(monkeypatch):
+    """Above 14 crossings every command exits 3 before any build."""
+    def no_build(*args):
+        raise AssertionError("a build ran past the crossing guard")
+
+    monkeypatch.setattr(cli, "build_complex", no_build)
+    monkeypatch.setattr(cli, "build_e1_complex", no_build)
+    big = ("--braid", " ".join(["1"] * 15), "--strands", "2")
+    for args in (("compute", *big, "--invariant", "kh"),
+                 ("compute", *big, "--invariant", "brcover-e2"),
+                 ("sseq", *big),
+                 ("verify", "euler", *big)):
+        r = run(*args)
+        assert r.exit_code == 3, (args, r.output)
+        assert r.stderr == "refused: 15 crossings; rerun with --force\n", args
 
 
 def test_verify_single_and_table():

@@ -12,12 +12,10 @@ from khbn.laurent import Laurent
 from khbn.linkdiag import from_braid, kauffman_jones, load_link_table, parse_pd
 
 
-def decomp(name, k, reduced=False, basepoint=None):
+def decomp(name, k, reduced=False):
+    """Unreduced, or reduced at the first arc."""
     D = parse_pd(load_link_table()[name][0])
-    if reduced and basepoint is None:
-        basepoint = D.arcs[0]
-    C = build_complex(D, reduced=reduced, basepoint=basepoint)
-    return bigraded_homology(C, k)
+    return bigraded_homology(build_complex(D, D.arcs[0] if reduced else None), k)
 
 
 def frozen(k, table):
@@ -106,11 +104,10 @@ def test_dense_reference_agrees():
     for name in names:
         D = parse_pd(table[name][0])
         k = rng.choice([1, 2, 3])
-        for reduced in (False, True):
-            C = build_complex(D, reduced=reduced,
-                              basepoint=D.arcs[0] if reduced else None)
+        for bp in (None, D.arcs[0]):
+            C = build_complex(D, bp)
             assert bigraded_homology(C, k) == dense_decomp(C, k), \
-                (name, k, reduced)
+                (name, k, bp)
     for name in ("trefoil_L", "figure8"):
         D = parse_pd(table[name][0])
         E1 = build_e1_complex(D, D.arcs[0])
@@ -123,11 +120,10 @@ def test_one_build_reads_k4_like_the_dense_reference():
         D = parse_pd(pd)
         if D.n > 6:
             continue
-        for reduced in (False, True):
-            C = build_complex(D, reduced=reduced,
-                              basepoint=D.arcs[0] if reduced else None)
+        for bp in (None, D.arcs[0]):
+            C = build_complex(D, bp)
             assert bigraded_homology(C, 4) == dense_decomp(C, 4), \
-                (name, reduced)
+                (name, bp)
 
 
 def test_free_generators_count_components():
@@ -135,19 +131,18 @@ def test_free_generators_count_components():
     table = load_link_table()
     for name in sorted(table):
         D = parse_pd(table[name][0])
-        free, _ = _barcode(build_complex(D, force=True))
+        free, _ = _barcode(build_complex(D))
         assert len(free) == 2 ** D.component_count, name
-        free, _ = _barcode(build_complex(D, reduced=True,
-                                         basepoint=D.arcs[0], force=True))
+        free, _ = _barcode(build_complex(D, D.arcs[0]))
         assert len(free) == 2 ** (D.component_count - 1), name
 
 
 def _assert_splits(D, arcs, label):
     """The direct unreduced module equals reduced (+) reduced{q-2} at each
     arc, for k = 1..4, each k read off one barcode per build."""
-    full = _barcode(build_complex(D, force=True))
+    full = _barcode(build_complex(D))
     for arc in arcs:
-        red = _barcode(build_complex(D, reduced=True, basepoint=arc, force=True))
+        red = _barcode(build_complex(D, arc))
         for k in (1, 2, 3, 4):
             M = bigraded_homology(None, k, red)
             assert bigraded_homology(None, k, full) == M.direct_sum(
@@ -185,7 +180,7 @@ def test_random_closures_split_at_module_level():
 
 def test_basepoint_does_not_matter():
     D = parse_pd(load_link_table()["figure8"][0])
-    got = [bigraded_homology(build_complex(D, reduced=True, basepoint=a), 2)
+    got = [bigraded_homology(build_complex(D, a), 2)
            for a in D.arcs]
     assert all(g == got[0] for g in got[1:])
 
@@ -196,7 +191,7 @@ def test_skein_triangle():
         D = parse_pd(table[name][0])
         rep = verify_triangle(D)
         assert rep.passed, (name, rep.failures)
-        rep = verify_triangle(D, reduced=True, basepoint=D.arcs[0])
+        rep = verify_triangle(D, D.arcs[0])
         assert rep.passed, (name, rep.failures)
 
 
@@ -229,7 +224,7 @@ def test_triangle_builds_one_cube(monkeypatch):
     D = parse_pd(load_link_table()["figure8"][0])
     assert verify_triangle(D).passed
     assert calls == [False]
-    assert verify_triangle(D, reduced=True, basepoint=D.arcs[0]).passed
+    assert verify_triangle(D, D.arcs[0]).passed
     assert calls == [False, True]
 
 
@@ -273,8 +268,8 @@ def test_golden_decompositions():
         D = parse_pd(table[name][0])
         arc = D.arcs[0]
         got = {"e1": bigraded_homology(build_e1_complex(D, arc), 2).to_json()}
-        full = build_complex(D, force=True)
-        reduced = build_complex(D, reduced=True, basepoint=arc, force=True)
+        full = build_complex(D)
+        reduced = build_complex(D, arc)
         for k in (1, 2, 3):
             got[f"k{k}"] = bigraded_homology(full, k).to_json()
             got[f"k{k}_reduced"] = bigraded_homology(reduced, k).to_json()

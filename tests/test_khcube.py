@@ -8,10 +8,9 @@ import khbn.khcube as khcube
 import khbn.linkdiag as linkdiag
 from cube_reference import BRAID_8, differing_arcs, reference_complex
 from khbn.khcube import (BasepointMissing, Generator, InhomogeneousEntry,
-                         MINUS, PLUS, ResourceLimit, _assemble,
-                         apply_edge_map, build_complex, verify_d_squared)
-from khbn.linkdiag import (Merge, Split, from_braid, load_link_table,
-                           parse_pd, resolve)
+                         MINUS, PLUS, _assemble, apply_edge_map,
+                         build_complex, verify_d_squared)
+from khbn.linkdiag import Merge, Split, from_braid, load_link_table, parse_pd
 
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
 
@@ -62,7 +61,7 @@ def test_unknot_complexes():
     assert C.degrees() == [0]
     assert C.rank(0) == 2
     assert C.d(0).is_zero()
-    R = build_complex(D, reduced=True, basepoint=1)
+    R = build_complex(D, 1)
     assert R.rank(0) == 1
     [g] = R.generators[0]
     for p in (0, 1, 2):
@@ -80,7 +79,7 @@ def test_trefoil_gradings_and_ranks():
     i, j = C.bidegree(g)
     assert (i, j) == (-3, -3)
     assert C.bidegree(g, 1) == (-3, -5)
-    R = build_complex(D, reduced=True, basepoint=1)
+    R = build_complex(D, 1)
     assert {i: R.rank(i) for i in R.degrees()} == {-3: 4, -2: 6, -1: 3, 0: 2}
 
 
@@ -112,8 +111,8 @@ def test_k1_is_k2_without_u():
             diagrams.append((name, D))
     for name, D in diagrams:
         for bp in (None, D.arcs[0]):
-            C = build_complex(D, reduced=bp is not None, basepoint=bp)
-            gens, diff = reference_complex(D, 1, bp is not None, bp)
+            C = build_complex(D, bp)
+            gens, diff = reference_complex(D, 1, bp)
             assert {i: [g.sort_key() for g in C.generators[i]]
                     for i in C.degrees()} == gens, (name, bp)
             for i, m in C.differential.items():
@@ -137,16 +136,15 @@ def test_d_squared_random_braids():
             continue
         trials += 1
         D = from_braid(word, strands)
-        for reduced in (False, True):
-            C = build_complex(D, reduced=reduced,
-                              basepoint=D.arcs[0] if reduced else None)
-            assert verify_d_squared(C).passed, (word, reduced)
+        for bp in (None, D.arcs[0]):
+            C = build_complex(D, bp)
+            assert verify_d_squared(C).passed, (word, bp)
 
 
 def test_reduced_works_at_every_basepoint():
     D = parse_pd(TREFOIL)
     for arc in D.arcs:
-        C = build_complex(D, reduced=True, basepoint=arc)
+        C = build_complex(D, arc)
         assert verify_d_squared(C).passed
         assert sum(C.rank(i) for i in C.degrees()) == 15
 
@@ -155,7 +153,7 @@ def test_reduced_rank_is_half():
     for name in ("figure8", "hopf_pos", "whitehead"):
         D = parse_pd(load_link_table()[name][0])
         full = build_complex(D)
-        half = build_complex(D, reduced=True, basepoint=D.arcs[0])
+        half = build_complex(D, D.arcs[0])
         for i in full.degrees():
             assert full.rank(i) == 2 * half.rank(i)
 
@@ -163,22 +161,7 @@ def test_reduced_rank_is_half():
 def test_basepoint_must_be_an_arc():
     D = parse_pd(TREFOIL)
     with pytest.raises(BasepointMissing):
-        build_complex(D, reduced=True, basepoint=99)
-    with pytest.raises(BasepointMissing):
-        build_complex(D, reduced=True)
-
-
-def test_resource_guard():
-    D = from_braid([1] * 15, 2)
-    with pytest.raises(ResourceLimit):
-        build_complex(D)
-
-
-def test_pointed_circle_tracked():
-    D = parse_pd(TREFOIL)
-    r = resolve(D, (0, 0, 0), 1)
-    assert r.pointed_circle == r.circle_of(1)
-    assert r.pointed_circle in r.circle_ids
+        build_complex(D, 99)
 
 
 def test_builder_matches_reference_assembly():
@@ -198,15 +181,14 @@ def test_builder_matches_reference_assembly():
     cases.append(("braid", D, [None, *differing_arcs(D)]))
     for name, D, arcs in cases:
         for bp in arcs:
-            reduced = bp is not None
-            C = build_complex(D, reduced=reduced, basepoint=bp)
+            C = build_complex(D, bp)
             got = ({i: [g.sort_key() for g in gens]
                     for i, gens in C.generators.items()},
                    {i: (m.rows, m.cols,
                         {key: e.bits for key, e in m.entries.items()})
                     for i, m in C.differential.items()})
             # every entry is u^0 or u^1, so k = 2 truncates nothing
-            assert got == reference_complex(D, 2, reduced, bp), (name, bp)
+            assert got == reference_complex(D, 2, bp), (name, bp)
 
 
 def test_builders_resolve_each_state_once(monkeypatch):
@@ -228,9 +210,9 @@ def test_builders_resolve_each_state_once(monkeypatch):
         monkeypatch.setattr(module, "edge_transition", no_edge_transition,
                             raising=False)
     for D in (parse_pd("U"), parse_pd(TREFOIL), from_braid([1, -2, 1, -2, 3], 4)):
-        for reduced in (False, True):
+        for bp in (None, D.arcs[0]):
             calls[0] = 0
-            build_complex(D, reduced=reduced, basepoint=D.arcs[0])
+            build_complex(D, bp)
             assert calls[0] == 1 << D.n
         calls[0] = 0
         brcover.build_e1_complex(D, D.arcs[0])

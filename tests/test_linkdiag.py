@@ -170,15 +170,6 @@ def test_braid_errors():
         from_braid([], 2)
 
 
-def test_basepoint_bookkeeping():
-    D = parse_pd(pd_text(KNOTS["3_1"][0]))
-    B = D.with_basepoint(4)
-    assert B.basepoint_arc == 4
-    assert B != D
-    with pytest.raises(DiagramError):
-        D.with_basepoint(99)
-
-
 def test_resolve_validates_state():
     D = parse_pd(pd_text(KNOTS["3_1"][0]))
     with pytest.raises(DiagramError):

@@ -66,7 +66,7 @@ def test_shape_mismatch_rejected():
 
 def test_trefoil_u_adic_pages():
     D = parse_pd(load_link_table()["trefoil_L"][0])
-    C = build_complex(D, reduced=True, basepoint=D.arcs[0])
+    C = build_complex(D, D.arcs[0])
     filt = u_adic_filtration(C, 2)
     # E_0 of each slice has the full chain dimension of that quantum strip
     flat_dim = sum(F.total_dim() for F in filt.values())
@@ -156,9 +156,8 @@ def test_barcode_pages_match_filtration_pages():
     for name, (pd, _) in load_link_table().items():
         D = parse_pd(pd)
         top = 3 if name in ("knot_9_14", "torus_2_8_R") else 4
-        runs = [(build_complex(D, force=True), range(1, top + 1)),
-                (build_complex(D, reduced=True, basepoint=D.arcs[0],
-                               force=True), (2, 3))]
+        runs = [(build_complex(D), range(1, top + 1)),
+                (build_complex(D, D.arcs[0]), (2, 3))]
         for C, ks in runs:
             for k in ks:
                 got = u_adic_pages(C, k)
@@ -193,8 +192,7 @@ def test_golden_pages():
         D = diagrams[name]
         full = build_complex(D)
         builds = {"k2": (full, 2),
-                  "k2_reduced": (build_complex(D, reduced=True,
-                                               basepoint=D.arcs[0]), 2),
+                  "k2_reduced": (build_complex(D, D.arcs[0]), 2),
                   "k3": (full, 3)}
         got, read = {}, {}
         for flavour, (C, k) in builds.items():
