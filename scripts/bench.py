@@ -10,8 +10,8 @@ alternating pairs of traced runs at seeds 1-3 for the per-layer metrics.
 The output file holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, and the number of pairs the change won; per workload
 and side, the failed and attempted operations summed over the untraced runs;
-and per workload and side, the traced per-layer metrics of each run and
-their medians.  It prints each metric's relative change of
+and per workload and side, the traced per-layer metrics of each run, their
+medians and their minima.  It prints each metric's relative change of
 medians, marked "unresolved" where the parent's own spread is wider than
 the metric's bound and "worse" where the change is worse by more than it.
 Run it on an otherwise idle machine: both
@@ -98,12 +98,15 @@ def summarise(spec, runs, traced):
 
 
 def layers(runs):
-    """The per-layer metrics of each traced run, and their medians."""
+    """The per-layer metrics of each traced run, their medians and their
+    minima: with three runs, one slow phase of the machine can carry the
+    median of a layer, but not its minimum."""
     metrics = [r["metrics"] for r in runs]
     names = sorted({m for run in metrics for m in run})
+    values = {m: [run[m] for run in metrics if m in run] for m in names}
     return {"runs": metrics,
-            "median": {m: statistics.median(run[m] for run in metrics if m in run)
-                       for m in names}}
+            "median": {m: statistics.median(v) for m, v in values.items()},
+            "min": {m: min(v) for m, v in values.items()}}
 
 
 def verdict(row):

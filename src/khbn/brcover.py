@@ -121,7 +121,7 @@ def build_e1_complex(D: Diagram, basepoint: int, walk=None) -> GradedComplex:
     def edge_map(edge, key_from, key_to):
         return partial(edge_map_brcover, edge, key_from[1], key_to[1])
 
-    C = GradedComplex(D, True, 0, *_assemble(
+    C = GradedComplex(D, 0, *_assemble(
         D, 0, states, keys, {key: _monomials(*key) for key in set(keys)},
         edges, edge_map, DSquaredFailure))
     report = verify_d_squared(C, order=2)
@@ -131,17 +131,13 @@ def build_e1_complex(D: Diagram, basepoint: int, walk=None) -> GradedComplex:
 
 
 class TheoremReport:
-    __slots__ = ("passed", "edges_checked", "chain_failures", "module_failures",
-                 "brcover_decomp", "bn_decomp")
+    __slots__ = ("passed", "edges_checked", "chain_failures", "module_failures")
 
-    def __init__(self, passed, edges_checked, chain_failures, module_failures,
-                 brcover_decomp, bn_decomp):
+    def __init__(self, passed, edges_checked, chain_failures, module_failures):
         self.passed = passed
         self.edges_checked = edges_checked
         self.chain_failures = chain_failures
         self.module_failures = module_failures
-        self.brcover_decomp = brcover_decomp
-        self.bn_decomp = bn_decomp
 
     def __repr__(self):
         return (f"TheoremReport(passed={self.passed},"
@@ -181,7 +177,7 @@ def verify_theorem_main(D: Diagram, basepoint: int) -> TheoremReport:
     except (InhomogeneousEntry, DSquaredFailure) as e:
         # a broken model map need not give a graded complex; no module to compare
         return TheoremReport(False, len(edges), chain_failures,
-                             [(None, str(e), None)], None, None)
+                             [(None, str(e), None)])
     M_model = bigraded_homology(E1, 2)
     C = build_complex(D, basepoint, walk)
     M_bn = bigraded_homology(C, 2)
@@ -194,5 +190,4 @@ def verify_theorem_main(D: Diagram, basepoint: int) -> TheoremReport:
             module_failures.append((bd, M_model.table.get(bd),
                                     shift.table.get(bd)))
     passed = not chain_failures and not module_failures
-    return TheoremReport(passed, len(edges), chain_failures, module_failures,
-                         M_model, M_bn)
+    return TheoremReport(passed, len(edges), chain_failures, module_failures)

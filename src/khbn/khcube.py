@@ -114,11 +114,10 @@ class GradedComplex:
     library itself never does.
     """
 
-    __slots__ = ("D", "reduced", "offset", "generators", "slices")
+    __slots__ = ("D", "offset", "generators", "slices")
 
-    def __init__(self, D, reduced, offset, generators, slices):
+    def __init__(self, D, offset, generators, slices):
         self.D = D
-        self.reduced = reduced
         self.offset = offset
         self.generators: Dict[int, List[Generator]] = generators
         self.slices = slices
@@ -383,7 +382,7 @@ def build_complex(D: Diagram, basepoint: Optional[int] = None,
                         f"killed generator leaks across edge {edge}")
         return partial(_edge_images, *edge)
 
-    C = GradedComplex(D, basepoint is not None, D.n_minus, *_assemble(
+    C = GradedComplex(D, D.n_minus, *_assemble(
         D, D.n_minus, states, keys, kept, edges, edge_map,
         SubcomplexViolation))
     report = verify_d_squared(C)

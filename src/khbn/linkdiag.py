@@ -5,10 +5,12 @@ Conventions (fixed here, used everywhere else):
 
 * A crossing is a quadruple (a, b, c, d) of arc labels read counterclockwise
   starting from the incoming under-strand a; the under-strand leaves at c.
-  The over-strand occupies slots b and d; its direction is recovered from
-  global orientation consistency (every arc has exactly one head and one
-  tail).  A crossing is positive when the over-strand enters at d and leaves
-  at b, negative when it runs b to d.
+  The over-strand occupies slots b and d; its direction is that of its
+  component, walked straight through every crossing (slot s to slot s+2)
+  from any under-passage.  A component that never passes under lies on top
+  and runs b to d at its lowest-index crossing when d = b + 1 (mod 2n), else
+  d to b.  A crossing is positive when the over-strand enters at d and
+  leaves at b, negative when it runs b to d.
 * Arc labels are normalized mod 2n into 1..2n, then canonically relabeled so
   that equal diagrams print identically.
 * In the resolution at a crossing, the 0-smoothing joins {a,b} and {c,d};
@@ -81,12 +83,11 @@ class Diagram:
     """Validated planar diagram; immutable after construction."""
 
     __slots__ = ("crossings", "signs", "n_plus", "n_minus",
-                 "component_count", "components", "_over_in_slots")
+                 "component_count", "components")
 
-    def __init__(self, crossings, signs, over_in_slots, components):
+    def __init__(self, crossings, signs, components):
         self.crossings: Tuple[Tuple[int, int, int, int], ...] = tuple(crossings)
         self.signs: Tuple[int, ...] = tuple(signs)
-        self._over_in_slots: Tuple[int, ...] = tuple(over_in_slots)
         self.components: Tuple[Tuple[int, ...], ...] = tuple(components)
         self.component_count = len(self.components)
         self.n_plus = sum(1 for s in self.signs if s > 0)
@@ -177,7 +178,7 @@ def parse_pd(text: str) -> Diagram:
     twice), oriented, signed, and canonically relabeled.
     """
     if text.strip() == "U":
-        return Diagram((), (), (), ((1,),))
+        return Diagram((), (), ((1,),))
     m = _PD_RE.match(text)
     if not m:
         raise MalformedSyntax(f"not PD notation: {text!r}")
@@ -193,42 +194,44 @@ def _build(quads: Sequence[Tuple[int, int, int, int]]) -> Diagram:
     n = len(quads)
     two_n = 2 * n
     quads = [tuple((x - 1) % two_n + 1 for x in q) for q in quads]
-    counts: Dict[int, int] = {}
-    for q in quads:
-        for x in q:
-            counts[x] = counts.get(x, 0) + 1
+    ends = _ends(quads)
     for x in range(1, two_n + 1):
-        if counts.get(x, 0) != 2:
-            raise ArcMultiplicityError(
-                f"arc {x} appears {counts.get(x, 0)} times, expected 2")
-    _check_planar(quads)
-    over_in = _orient(quads)
-    components = _cycles(_succession(quads, over_in))
+        times = len(ends.get(x, ()))
+        if times != 2:
+            raise ArcMultiplicityError(f"arc {x} appears {times} times, expected 2")
+    _check_planar(quads, ends)
+    _, components = _orient(quads, ends)
     quads = _canonical_quads(quads, components)
     # definitive orientation from the canonical labels; a relabeled copy of
     # the same diagram now rebuilds to an identical Diagram
-    over_in = _orient(quads)
-    components = _cycles(_succession(quads, over_in))
+    over_in, components = _orient(quads, _ends(quads))
     signs = [1 if oi == 3 else -1 for oi in over_in]
-    return Diagram(quads, signs, over_in, components)
+    return Diagram(quads, signs, components)
 
 
-def _check_planar(quads: Sequence[Tuple[int, int, int, int]]) -> None:
+def _ends(quads: Sequence[Tuple[int, int, int, int]]
+          ) -> Dict[int, List[Tuple[int, int]]]:
+    """arc -> its ends, as (crossing, slot); twice for a valid code."""
+    ends: Dict[int, List[Tuple[int, int]]] = {}
+    for x, q in enumerate(quads):
+        for slot, a in enumerate(q):
+            ends.setdefault(a, []).append((x, slot))
+    return ends
+
+
+def _across(quads, ends, x: int, slot: int) -> Tuple[int, int]:
+    """The other end of the arc in `slot` of crossing x."""
+    a, b = ends[quads[x][slot]]
+    return b if a == (x, slot) else a
+
+
+def _check_planar(quads: Sequence[Tuple[int, int, int, int]], ends) -> None:
     """Euler's formula for the projection: V - E + F = 2 on each connected
     component, with V = n crossings and E = 2n arcs, so F = n + 2 (number
     of components).  Faces are cycles of crossing corners: the corner
     between slots i and i+1 continues at the other end of the arc in slot
     i+1.  A code with fewer faces does not embed in the plane."""
     n = len(quads)
-    ends: Dict[int, List[Tuple[int, int]]] = {}  # arc -> (crossing, slot) twice
-    for x, q in enumerate(quads):
-        for slot, a in enumerate(q):
-            ends.setdefault(a, []).append((x, slot))
-
-    def across(x: int, slot: int) -> Tuple[int, int]:
-        a, b = ends[quads[x][slot]]
-        return b if a == (x, slot) else a
-
     seen = set()
     faces = 0
     for start in itertools.product(range(n), range(4)):
@@ -238,7 +241,7 @@ def _check_planar(quads: Sequence[Tuple[int, int, int, int]]) -> None:
         x, i = start
         while (x, i) not in seen:
             seen.add((x, i))
-            x, i = across(x, (i + 1) % 4)
+            x, i = _across(quads, ends, x, (i + 1) % 4)
     root = list(range(n))
 
     def find(x: int) -> int:
@@ -255,114 +258,45 @@ def _check_planar(quads: Sequence[Tuple[int, int, int, int]]) -> None:
             f" {n + 2 * components}")
 
 
-def _succession(quads, over_in) -> Dict[int, int]:
-    succ: Dict[int, int] = {}
-    for q, oi in zip(quads, over_in):
-        a, b, c, d = q
-        if a in succ:
-            raise NonPlanarOrInconsistentOrientation(f"arc {a} heads twice")
-        succ[a] = c
-        o_in, o_out = (b, d) if oi == 1 else (d, b)
-        if o_in in succ:
-            raise NonPlanarOrInconsistentOrientation(f"arc {o_in} heads twice")
-        succ[o_in] = o_out
-    return succ
+def _orient(quads: Sequence[Tuple[int, int, int, int]], ends
+            ) -> Tuple[List[int], List[Tuple[int, ...]]]:
+    """The over-in slot (1 or 3) per crossing, and the components as arc
+    cycles in orientation order, each from its least arc, in order of it.
 
-
-def _orient(quads: Sequence[Tuple[int, int, int, int]]) -> List[int]:
-    """Choose the over-in slot (1 or 3) per crossing.
-
-    Under-strand roles (a = head, c = tail) are fixed; each arc needs one
-    head and one tail, which propagates through the over slots.  Components
-    that never pass under are genuinely free; ties break by the succession
-    heuristic (prefer labels increasing mod 2n), defaulting to positive.
+    Each component is one walk straight through every crossing it meets.
+    Components that pass under are walked from an under-in slot 0, and
+    entering a crossing at slot 2 is a conflict.  The rest lie on top: each
+    runs b to d at its lowest-index crossing when d = b + 1 (mod 2n), else
+    d to b.
     """
-    two_n = 2 * len(quads)
-    occ: Dict[int, List[Tuple[int, int]]] = {}
-    for ci, q in enumerate(quads):
-        for slot, x in enumerate(q):
-            occ.setdefault(x, []).append((ci, slot))
-    # role[arc][occurrence index] = True for head (arc ends there)
-    role: Dict[Tuple[int, int, int], bool] = {}
-    choice: List[Optional[int]] = [None] * len(quads)
+    n, two_n = len(quads), 2 * len(quads)
+    over_in: List[Optional[int]] = [None] * n
+    walked = set()
+    components = []
 
-    def set_role(arc: int, idx: int, head: bool) -> List[Tuple[int, int]]:
-        key = (arc, *occ[arc][idx])
-        if key in role:
-            if role[key] != head:
+    def walk(x: int, slot: int) -> None:
+        arcs = []
+        while quads[x][slot] not in walked:
+            if slot == 2:
                 raise NonPlanarOrInconsistentOrientation(
-                    f"conflicting orientation at arc {arc}")
-            return []
-        role[key] = head
-        newly = [(arc, idx)]
-        other = 1 - idx
-        okey = (arc, *occ[arc][other])
-        if okey not in role:
-            role[okey] = not head
-            newly.append((arc, other))
-        elif role[okey] == head:
-            raise NonPlanarOrInconsistentOrientation(
-                f"arc {arc} has two {'heads' if head else 'tails'}")
-        return newly
+                    f"a component passes under in both directions,"
+                    f" entering crossing {x} at its outgoing slot")
+            if slot % 2:
+                over_in[x] = slot
+            walked.add(quads[x][slot])
+            arcs.append(quads[x][slot])
+            x, slot = _across(quads, ends, x, slot ^ 2)
+        least = arcs.index(min(arcs))
+        components.append(tuple(arcs[least:] + arcs[:least]))
 
-    work: List[Tuple[int, int]] = []
-    for arc, places in occ.items():
-        for idx, (ci, slot) in enumerate(places):
-            if slot == 0:
-                work += set_role(arc, idx, True)
-            elif slot == 2:
-                work += set_role(arc, idx, False)
-    while True:
-        while work:
-            arc, idx = work.pop()
-            ci, slot = occ[arc][idx]
-            if slot in (1, 3):
-                head = role[(arc, ci, slot)]
-                # over-in slot is where the over-strand's head sits
-                oi = slot if head else 4 - slot
-                if choice[ci] is None:
-                    choice[ci] = oi
-                    for s2 in (1, 3):
-                        arc2 = quads[ci][s2]
-                        for idx2, place in enumerate(occ[arc2]):
-                            if place == (ci, s2):
-                                work += set_role(arc2, idx2, s2 == oi)
-                elif choice[ci] != oi:
-                    raise NonPlanarOrInconsistentOrientation(
-                        f"over-strand direction conflict at crossing {ci}")
-        undecided = [ci for ci, oi in enumerate(choice) if oi is None]
-        if not undecided:
-            break
-        ci = undecided[0]
-        b, d = quads[ci][1], quads[ci][3]
-        if d % two_n == (b + 1) % two_n:
-            oi = 1
-        elif b % two_n == (d + 1) % two_n:
-            oi = 3
-        else:
-            oi = 3
-        for s2, arc2 in ((1, b), (3, d)):
-            for idx2, place in enumerate(occ[arc2]):
-                if place == (ci, s2):
-                    work += set_role(arc2, idx2, s2 == oi)
-    return [c for c in choice if c is not None]
-
-
-def _cycles(succ: Dict[int, int]) -> List[Tuple[int, ...]]:
-    seen = set()
-    out = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = succ[start]
-        while x != start:
-            cyc.append(x)
-            seen.add(x)
-            x = succ[x]
-        out.append(tuple(cyc))
-    return out
+    for x in range(n):
+        if quads[x][0] not in walked:
+            walk(x, 0)
+    for x in range(n):
+        if over_in[x] is None:
+            b, d = quads[x][1], quads[x][3]
+            walk(x, 1 if d % two_n == (b + 1) % two_n else 3)
+    return over_in, sorted(components)
 
 
 def _canonical_quads(quads, components):
@@ -432,29 +366,13 @@ def from_braid(word: Sequence[int], strands: int) -> Diagram:
         else:
             quads.append((y, x, u_new, v_new))
         cur[i], cur[i + 1] = u_new, v_new
-    # closure: top of each strand position meets its bottom
-    parent = list(range(next(fresh)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in range(strands):
-        parent[find(cur[p])] = find(init[p])
-    rep_label: Dict[int, int] = {}
-    nxt = itertools.count(1)
-    merged = []
-    for q in quads:
-        labels = []
-        for x in q:
-            r = find(x)
-            if r not in rep_label:
-                rep_label[r] = next(nxt)
-            labels.append(rep_label[r])
-        merged.append(tuple(labels))
-    D = _build(merged)
+    # closure: the bottom of each strand position is its top; every
+    # position is touched, so no bottom label is also a top label
+    close = {cur[p]: init[p] for p in range(strands)}
+    # labels renumbered in order of first appearance
+    relabel: Dict[int, int] = {}
+    D = _build([tuple(relabel.setdefault(close.get(x, x), len(relabel) + 1)
+                      for x in q) for q in quads])
     perm = list(range(strands))
     for letter in word:
         i = abs(letter) - 1

@@ -252,14 +252,18 @@ def test_malformed_inputs_exit_2():
 
 @st.composite
 def pd_codes(draw):
-    """PD[...] with n <= 3 crossings and every label used twice, in any
-    arrangement, planar or not."""
-    n = draw(st.integers(1, 3))
+    """PD[...] with n <= 5 crossings and every label used twice, in any
+    arrangement, planar or not, in one or more components."""
+    n = draw(st.integers(1, 5))
     labels = draw(st.permutations([a for a in range(1, 2 * n + 1)
                                    for _ in (0, 1)]))
     quads = [labels[4 * c:4 * c + 4] for c in range(n)]
     return ("--pd", "PD[" + ", ".join(
         "X({},{},{},{})".format(*q) for q in quads) + "]")
+
+
+free_text = st.one_of(st.text(), st.text().map("PD[".__add__)).map(
+    lambda text: ("--pd", text))
 
 
 braid_words = st.tuples(
@@ -269,7 +273,7 @@ braid_words = st.tuples(
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.one_of(pd_codes(), braid_words),
+@given(st.one_of(pd_codes(), free_text, braid_words),
        st.sampled_from([("--invariant", "kh"),
                         ("--invariant", "bn2", "--reduced"),
                         ("--invariant", "brcover-e2")]))
@@ -337,14 +341,22 @@ def test_verify_splitting_compares_modules(monkeypatch):
     """Trading each reduced tower for copies of F2 keeps every F2
     dimension; the module-level check still fails, at the lowest bidegree
     where the two modules differ."""
-    read = cli.bigraded_homology
+    build, read = cli.build_complex, cli.bigraded_homology
+    marked = []  # the complexes built at a marked arc
+
+    def built(D, basepoint=None, *rest):
+        C = build(D, basepoint, *rest)
+        if basepoint is not None:
+            marked.append(C)
+        return C
 
     def flattened(C, k, *rest):
         M = read(C, k, *rest)
-        if not C.reduced:
+        if not any(C is R for R in marked):
             return M
         return ModuleDecomp(k, {bd: {1: d} for bd, d in M.f2_dimensions().items()})
 
+    monkeypatch.setattr(cli, "build_complex", built)
     monkeypatch.setattr(cli, "bigraded_homology", flattened)
     r = run("verify", "splitting", "--name", "trefoil_L")
     assert r.exit_code == 1

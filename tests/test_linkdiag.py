@@ -156,9 +156,29 @@ def test_parse_errors():
                  "PD[X(1,4,2,5), X(3,6,4,1), X(5,3,6,2)]"):
         with pytest.raises(NonPlanarOrInconsistentOrientation, match="planar"):
             parse_pd(text)
+    # the trefoil with its first crossing rotated by two slots is planar,
+    # but its one component would pass under in both directions
+    with pytest.raises(NonPlanarOrInconsistentOrientation):
+        parse_pd("PD[X(2,5,1,4), X(3,6,4,1), X(5,2,6,3)]")
     # a projection in two pieces has two outer faces, and is planar
     assert parse_pd("PD[X(1,1,2,2), X(3,3,4,4)]").n == 2
     assert from_braid([1, 3], 4).component_count == 2
+
+
+def test_free_component_direction():
+    """A component that never passes under runs b to d at its lowest
+    crossing when d = b + 1 (mod 2n), else d to b."""
+    D = from_braid([1, 2, -1], 3)
+    # (5, 6) is free; at X(3,5,4,6), 6 = 5 + 1, so it runs 5 to 6
+    assert render(D) == "PD[X(1,3,2,2), X(3,5,4,6), X(4,5,1,6)]"
+    assert D.signs == (1, -1, 1)
+    assert D.components == ((1, 2, 3, 4), (5, 6))
+    D = from_braid([1, -1, -2, 1, 2], 3)
+    # (7, 8, 9, 10) is free; at X(2,7,3,10) it runs 10 to 7
+    assert render(D) == ("PD[X(1,5,2,4), X(2,7,3,10), X(3,9,4,10),"
+                         " X(5,8,6,7), X(6,8,1,9)]")
+    assert D.signs == (1, 1, -1, 1, -1)
+    assert D.components == ((1, 2, 3, 4, 5, 6), (7, 8, 9, 10))
 
 
 def test_braid_errors():
