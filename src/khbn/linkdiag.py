@@ -279,8 +279,9 @@ def _orient(quads: Sequence[Tuple[int, int, int, int]], ends
         while quads[x][slot] not in walked:
             if slot == 2:
                 raise NonPlanarOrInconsistentOrientation(
-                    f"a component passes under in both directions,"
-                    f" entering crossing {x} at its outgoing slot")
+                    f"a component passes under in both directions: arc"
+                    f" {quads[x][slot]} runs into the under-strand's"
+                    f" outgoing slot of crossing {x + 1}")
             if slot % 2:
                 over_in[x] = slot
             walked.add(quads[x][slot])
