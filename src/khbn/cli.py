@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import click
@@ -440,12 +440,10 @@ def _check_sseq(D: Diagram, k: int, bp: Optional[int]) -> Tuple[bool, str]:
     return True, "E_inf = gr(H) at every position"
 
 
-def _check_reidemeister(pair: Tuple[str, str], k: int, reduced: bool) -> Tuple[bool, str]:
-    decomps = []
-    for nm in pair:
-        D = _load_entry(nm)
-        decomps.append(bigraded_homology(
-            build_complex(D, D.arcs[0] if reduced else None), k))
+def _check_reidemeister(pair: Tuple[str, str], diagrams: Tuple[Diagram, Diagram],
+                        k: int, reduced: bool) -> Tuple[bool, str]:
+    decomps = [bigraded_homology(build_complex(D, D.arcs[0] if reduced else None), k)
+               for D in diagrams]
     if decomps[0] == decomps[1]:
         return True, "same module decomposition"
     only = sorted(set(decomps[0].table) ^ set(decomps[1].table))
@@ -459,13 +457,6 @@ _CHECK_OF = {"euler": _check_euler, "triangle": _check_triangle,
 CHECKS = [*_CHECK_OF, "reidemeister"]
 
 
-def _run_check(target: Tuple[str, str, str, int, Optional[int]]
-               ) -> Tuple[str, bool, str]:
-    """(label, ok, detail) of one (check, label, PD text, k, marked arc)."""
-    check, label, pd_text, k, bp = target
-    return (label, *_CHECK_OF[check](parse_pd(pd_text), k, bp))
-
-
 @main.command()
 @click.argument("check", type=click.Choice(CHECKS))
 @_diagram_options
@@ -476,16 +467,12 @@ def _run_check(target: Tuple[str, str, str, int, Optional[int]]
 @click.option("--reduced", is_flag=True,
               help="reduced flavour where the check admits one")
 @click.option("--basepoint", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="worker processes across table entries")
 @click.option("--force", is_flag=True, help="lift the 14-crossing guard")
 def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
-           reduced, basepoint, jobs, force) -> None:
+           reduced, basepoint, force) -> None:
     """Run one structural check; exit 1 with a counterexample on failure."""
     if k < 1:
         raise click.UsageError("--k must be a positive integer")
-    if jobs < 1:
-        raise click.UsageError("--jobs must be a positive integer")
     if max_crossings is not None and max_crossings < 0:
         raise click.UsageError("--max-crossings must be a non-negative integer")
     if reduced and check in ("euler", "splitting", "basepoint", "brcover"):
@@ -497,6 +484,9 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
             raise click.UsageError("--basepoint only makes sense with --reduced")
         raise click.UsageError(f"--basepoint does not apply to verify {check}")
 
+    # (label, check) in print order, each check bound to the diagrams parsed
+    # here; every usage error is raised before the first check runs
+    runs = []
     if check == "reidemeister":
         if pd or braid:
             raise click.UsageError(
@@ -508,25 +498,16 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
                 raise click.UsageError(f"no bundled same-link pair involves {name!r}")
         elif not all_table:
             raise click.UsageError("reidemeister needs --all-table or --name")
-        if max_crossings is not None:
-            pairs = [p for p in pairs
-                     if max(_load_entry(nm).n for nm in p) <= max_crossings]
-        failures = []
+        entries = {nm: _load_entry(nm) for nm in dict.fromkeys(sum(pairs, ()))}
         for pair in pairs:
-            ok, detail = _check_reidemeister(pair, k, reduced)
-            mark = "ok" if ok else "FAIL"
-            click.echo(f"{mark} {pair[0]} ~ {pair[1]}: {detail}")
-            if not ok:
-                failures.append(pair)
-        _finish(len(pairs), failures)
-        return
-
-    # the marked arc of each diagram is checked here and not in a worker
-    if all_table:
+            diagrams = (entries[pair[0]], entries[pair[1]])
+            if max_crossings is None or max(D.n for D in diagrams) <= max_crossings:
+                runs.append((f"{pair[0]} ~ {pair[1]}",
+                             partial(_check_reidemeister, pair, diagrams, k, reduced)))
+    elif all_table:
         if pd or braid or name:
             raise click.UsageError("--all-table excludes --pd/--braid/--name")
         table = load_link_table()
-        targets = []
         for nm in sorted(table):
             D = parse_pd(table[nm][0])
             if max_crossings is not None and D.n > max_crossings:
@@ -535,34 +516,24 @@ def verify(check, pd, braid, strands, name, all_table, max_crossings, k,
                 click.echo(f"skip {nm}: {D.n} crossings (use --force)", err=True)
                 continue
             bp = _default_basepoint(D, basepoint) if pointed else None
-            targets.append((check, nm, table[nm][0], k, bp))
+            runs.append((nm, partial(_CHECK_OF[check], D, k, bp)))
     else:
         D = _resolve_diagram(pd, braid, strands, name)
         _refuse_if_too_large(D, force)
-        label = name if name else render(D)
         bp = _default_basepoint(D, basepoint) if pointed else None
-        targets = [(check, label, render(D), k, bp)]
-
-    if jobs > 1 and len(targets) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_run_check, targets))
-    else:
-        results = [_run_check(t) for t in targets]
+        runs.append((name if name else render(D), partial(_CHECK_OF[check], D, k, bp)))
 
     failures = []
-    for label, ok, detail in results:
+    for label, run in runs:
+        ok, detail = run()
         click.echo(f"{'ok' if ok else 'FAIL'} {label}: {detail}")
         if not ok:
             failures.append(label)
-    _finish(len(results), failures)
-
-
-def _finish(total: int, failures: list) -> None:
     if failures:
-        click.echo(f"{total} run, {len(failures)} failed")
+        click.echo(f"{len(runs)} run, {len(failures)} failed")
         click.echo(f"counterexample: {failures[0]}")
         sys.exit(1)
-    click.echo(f"{total} run, all passed")
+    click.echo(f"{len(runs)} run, all passed")
 
 
 # ------------------------------------------------------------------ sseq --

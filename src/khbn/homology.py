@@ -189,10 +189,8 @@ def bigraded_homology(C: Optional[GradedComplex], k: int,
 
 def euler_characteristic(M: ModuleDecomp) -> Laurent:
     """Sum over bidegrees of (-1)^i dim_F2 q^j."""
-    total = Laurent()
-    for (i, j), d in M.f2_dimensions().items():
-        total = total + Laurent({j: (d if i % 2 == 0 else -d)})
-    return total
+    return Laurent((j, d if i % 2 == 0 else -d)
+                   for (i, j), d in M.f2_dimensions().items())
 
 
 # ---------------------------------------------------------------------------

@@ -42,23 +42,18 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .linkdiag import (Diagram, Merge, Split, _arc_positions, _classify_edge,
-                       resolve)
+from .linkdiag import Diagram, _arc_positions, _classify_edge, resolve
 from .ringalg import RingElem, SparseMat, _apply
 
 __all__ = [
     "Generator",
     "GradedComplex",
-    "apply_edge_map",
     "build_complex",
     "verify_d_squared",
     "BasepointMissing",
     "InhomogeneousEntry",
     "SubcomplexViolation",
 ]
-
-MINUS = 1
-PLUS = 0
 
 
 class BasepointMissing(ValueError):
@@ -167,48 +162,6 @@ class GradedComplex:
     @property
     def differential(self) -> Dict[int, SparseMat]:
         return {i: self.d(i) for i in self.generators}
-
-
-def apply_edge_map(kind, labeling: Dict[int, int], k: int,
-                   bystander_map: Dict[int, int]) -> List[Tuple[Dict[int, int], RingElem]]:
-    """TQFT edge map on one labeling (circle id -> 0/1, 1 for v_minus).
-
-    Returns the formal sum as (labeling, coefficient) pairs; zero
-    coefficients are dropped (u^k = 0 truncation happens in RingElem).
-    No builder calls it: the cube and the cover model's check run
-    _edge_images.  It is the reference TQFT map of tests/cube_reference.py
-    and tests/test_khcube.py.
-    """
-    base = {bystander_map[c]: v for c, v in labeling.items() if c in bystander_map}
-    one = RingElem.one(k)
-    u = RingElem.u_power(k, 1)
-    out: List[Tuple[Dict[int, int], RingElem]] = []
-    if isinstance(kind, Merge):
-        la, lb = labeling[kind.src_a], labeling[kind.src_b]
-        coeff = u if (la, lb) == (MINUS, MINUS) else one
-        lab = dict(base)
-        lab[kind.dst] = MINUS if (la or lb) else PLUS
-        if coeff:
-            out.append((lab, coeff))
-    elif isinstance(kind, Split):
-        src = labeling[kind.src]
-        if src == MINUS:
-            lab = dict(base)
-            lab[kind.dst_a] = MINUS
-            lab[kind.dst_b] = MINUS
-            out.append((lab, one))
-        else:
-            for va, vb, coeff in ((PLUS, MINUS, one), (MINUS, PLUS, one),
-                                  (PLUS, PLUS, u)):
-                if not coeff:
-                    continue
-                lab = dict(base)
-                lab[kind.dst_a] = va
-                lab[kind.dst_b] = vb
-                out.append((lab, coeff))
-    else:
-        raise TypeError(f"unclassified edge kind: {kind!r}")
-    return out
 
 
 def _labelings(c: int, kill: Optional[int]) -> List[Tuple[int, Tuple[int, ...]]]:

@@ -351,7 +351,8 @@ def from_braid(word: Sequence[int], strands: int) -> Diagram:
     for i in used:
         touched.add(i)
         touched.add(i + 1)
-    if touched != set(range(1, strands + 1)):
+    # the letters are in range, so every touched position lies in 1..strands
+    if len(touched) != strands:
         raise DiagramError("some strand has no crossings; its closure is a"
                            " split crossingless unknot, not expressible in PD")
     fresh = itertools.count(1)

@@ -2,7 +2,8 @@
 builders: resolve every state, classify every edge with
 `linkdiag.edge_transition` (which resolves both of its ends again), and sum
 the edge maps into `SparseMat` entries through generator index dicts.  The
-cube pushes dict labelings through `khcube.apply_edge_map`; the cover model
+cube pushes dict labelings through `apply_edge_map`, the TQFT edge map
+written out label by label; the cover model
 turns the transition's circle ids into positions and pushes each monomial
 through `brcover.edge_map_brcover`, keyed by (state, monomial) pairs, with
 each smoothing's circles and pointed position held in a `VertexGroup`.
@@ -12,8 +13,8 @@ degree as (rows, cols, {(row, col): coefficient bits})).
 """
 
 from khbn.brcover import edge_map_brcover, phi
-from khbn.khcube import PLUS, Generator, apply_edge_map
-from khbn.linkdiag import Merge, edge_transition, resolve
+from khbn.khcube import Generator
+from khbn.linkdiag import Merge, Split, edge_transition, resolve
 from khbn.ringalg import RingElem, SparseMat
 
 
@@ -21,6 +22,50 @@ from khbn.ringalg import RingElem, SparseMat
 # large enough that many edges share one edge map, small enough for the
 # reference assembly.
 BRAID_8 = ([2, 2, 2, -1, -3, -2, 3, -3], 4)
+
+
+MINUS = 1
+PLUS = 0
+
+
+def apply_edge_map(kind, labeling, k, bystander_map):
+    """TQFT edge map on one labeling (circle id -> 0/1, 1 for v_minus).
+
+    Returns the formal sum as (labeling, coefficient) pairs; zero
+    coefficients are dropped (u^k = 0 truncation happens in RingElem).
+    No builder calls it: the cube and the cover model's check run
+    khcube._edge_images.
+    """
+    base = {bystander_map[c]: v for c, v in labeling.items() if c in bystander_map}
+    one = RingElem.one(k)
+    u = RingElem.u_power(k, 1)
+    out = []
+    if isinstance(kind, Merge):
+        la, lb = labeling[kind.src_a], labeling[kind.src_b]
+        coeff = u if (la, lb) == (MINUS, MINUS) else one
+        lab = dict(base)
+        lab[kind.dst] = MINUS if (la or lb) else PLUS
+        if coeff:
+            out.append((lab, coeff))
+    elif isinstance(kind, Split):
+        src = labeling[kind.src]
+        if src == MINUS:
+            lab = dict(base)
+            lab[kind.dst_a] = MINUS
+            lab[kind.dst_b] = MINUS
+            out.append((lab, one))
+        else:
+            for va, vb, coeff in ((PLUS, MINUS, one), (MINUS, PLUS, one),
+                                  (PLUS, PLUS, u)):
+                if not coeff:
+                    continue
+                lab = dict(base)
+                lab[kind.dst_a] = va
+                lab[kind.dst_b] = vb
+                out.append((lab, coeff))
+    else:
+        raise TypeError(f"unclassified edge kind: {kind!r}")
+    return out
 
 
 def differing_arcs(D):

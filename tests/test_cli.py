@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import time
 
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import khbn.cli as cli
 from khbn.homology import ModuleDecomp
+from khbn.laurent import Laurent
+from khbn.linkdiag import kauffman_jones
 
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
 
@@ -186,6 +192,19 @@ def test_compute_brcover_e2():
                "--reduced").exit_code == 2
 
 
+def test_bnk_euler_at_large_k():
+    """The Euler characteristic is summed once over the bidegrees, so a
+    large truncation order stays cheap; it is (1 + ... + q^-2(k-1)) V."""
+    k = 20000
+    t0 = time.perf_counter()
+    r = run("compute", "--name", "trefoil_L", "--invariant", "bnk", "--k", str(k))
+    assert time.perf_counter() - t0 < 5
+    assert r.exit_code == 0, r.output
+    expect = kauffman_jones(cli._load_entry("trefoil_L")) * Laurent(
+        {-2 * s: 1 for s in range(k)})
+    assert json.loads(r.stdout)["euler"] == cli._laurent_text(expect)
+
+
 def test_malformed_inputs_exit_2():
     assert run("compute", "--pd", "PD[X(1,2,3)]",
                "--invariant", "kh").exit_code == 2
@@ -205,7 +224,10 @@ def test_malformed_inputs_exit_2():
         r = run("verify", "euler", "--all-table", "--max-crossings", "3",
                 "--jobs", jobs)
         assert r.exit_code == 2, (jobs, r.output)
-        assert "--jobs must be a positive integer" in r.output
+        assert "No such option" in r.output
+    # a strand count far beyond memory fails before anything per strand
+    assert run("compute", "--braid", "1", "--strands", "100000000000",
+               "--invariant", "kh").exit_code == 2
     # a negative bound would skip every entry and pass with nothing run
     r = run("verify", "euler", "--all-table", "--max-crossings", "-1")
     assert r.exit_code == 2, r.output
@@ -313,12 +335,40 @@ def test_verify_single_and_table():
     assert "15 run, all passed" in r.output
 
 
-def test_verify_jobs_matches_sequential():
-    args = ("verify", "euler", "--all-table", "--max-crossings", "4")
-    one = run(*args, "--jobs", "1")
-    two = run(*args, "--jobs", "2")
-    assert one.exit_code == 0 and two.exit_code == 0, two.output
-    assert two.stdout == one.stdout
+def test_verify_parses_each_diagram_once(monkeypatch):
+    """Each check runs on the diagram the command parsed: one parse per
+    request, per table entry, or per distinct name of the same-link pairs."""
+    calls = []
+    for fn in ("parse_pd", "from_braid"):
+        def counted(*args, _fn=getattr(cli, fn)):
+            calls.append(args)
+            return _fn(*args)
+        monkeypatch.setattr(cli, fn, counted)
+
+    def parses(*args):
+        calls.clear()
+        r = run(*args)
+        assert r.exit_code == 0, (args, r.output)
+        return len(calls)
+
+    assert parses("verify", "euler", "--name", "trefoil_L") == 1
+    assert parses("verify", "euler", "--braid", "1,1,1", "--strands", "2") == 1
+    entries = len(cli.load_link_table())
+    assert parses("verify", "euler", "--all-table", "--max-crossings", "3") == entries
+    names = {nm for pair in cli.SAME_LINK_PAIRS for nm in pair}
+    assert parses("verify", "reidemeister", "--all-table") == len(names)
+    assert parses("verify", "reidemeister", "--all-table",
+                  "--max-crossings", "4") == len(names)
+
+
+def test_cli_import_starts_no_process_machinery():
+    code = ("import sys, khbn.cli; print(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "[]\n"
 
 
 def test_verify_reidemeister_pairs():

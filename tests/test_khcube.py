@@ -6,10 +6,10 @@ import pytest
 import khbn.brcover as brcover
 import khbn.khcube as khcube
 import khbn.linkdiag as linkdiag
-from cube_reference import BRAID_8, differing_arcs, reference_complex
+from cube_reference import (BRAID_8, MINUS, PLUS, apply_edge_map,
+                            differing_arcs, reference_complex)
 from khbn.khcube import (BasepointMissing, Generator, InhomogeneousEntry,
-                         MINUS, PLUS, _assemble, apply_edge_map,
-                         build_complex, verify_d_squared)
+                         _assemble, build_complex, verify_d_squared)
 from khbn.linkdiag import Merge, Split, from_braid, load_link_table, parse_pd
 
 TREFOIL = "PD[X(1,4,2,5), X(3,6,4,1), X(5,2,6,3)]"
